@@ -169,7 +169,8 @@ def bind(system: DeterminingSystem, X: ApproximateGenerator) -> DeterminingSyste
     params = L.ctx.numeric_bindings()
     bound = []
     for eq in system.equations:
-        lhs = eq.lhs.subs(subs).doit()
+        # placeholders occur verbatim, so structural replacement binds them as subs would
+        lhs = eq.lhs.xreplace(subs).doit()
         if params:
             lhs = lhs.subs(params)
         bound.append(replace(eq, lhs=lhs))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -184,17 +183,6 @@ def check_homothetic(g: Metric, Y: SpatialVectorField, tol: float = 1e-10,
     return HomotheticResult(Y, psi, kind)
 
 
-def _spatial_monomials(xs, degree: int):
-    mons = []
-    for total in range(degree + 1):
-        for powers in itertools.combinations_with_replacement(range(len(xs)), total):
-            mon = sp.Integer(1)
-            for idx in powers:
-                mon *= xs[idx]
-            mons.append(mon)
-    return mons
-
-
 def solve_homothetic(g: Metric, degree: int = 1, tol: float = 1e-10,
                      seed: int = DEFAULT_SEED) -> list[HomotheticResult]:
     """All solutions of L_Y g = 2 psi g with polynomial Y of total degree <= degree.
@@ -208,6 +196,9 @@ def solve_homothetic(g: Metric, degree: int = 1, tol: float = 1e-10,
     ctx = g.ctx
     n = ctx.dimension
     xs = ctx.xs
+    # imported here: the solver imports this module through lagrangian
+    from .solver import _spatial_monomials, linear_rows, rational_nullspace
+
     mons = _spatial_monomials(xs, degree)
     unknowns = []
     comps = []
@@ -220,6 +211,10 @@ def solve_homothetic(g: Metric, degree: int = 1, tol: float = 1e-10,
         comps.append(row)
     psi = sp.Symbol("_psi")
     unknowns.append(psi)
+    index = {u: col for col, u in enumerate(unknowns)}
+
+    def monomial_coefficients(coeff):
+        return [(m, sp.Rational(c)) for m, c in sp.Poly(coeff, *xs).terms()]
 
     Y = SpatialVectorField(ctx, tuple(comps))
     lie = lie_derivative_metric(g, Y)
@@ -232,22 +227,10 @@ def solve_homothetic(g: Metric, degree: int = 1, tol: float = 1e-10,
                 raise UnsupportedMetricError(
                     f"metric entry ({i},{j}) is not polynomial after clearing denominators"
                 )
-            poly = sp.Poly(numer, *xs) if xs else None
-            coeffs = poly.coeffs() if poly is not None else [numer]
-            for coeff in coeffs:
-                row = [sp.Rational(coeff.diff(u)) for u in unknowns]
-                rows.append(row)
-    matrix = sp.Matrix(rows)
-    null = matrix.nullspace()
-    if not null:
-        return []
-    # canonical rref basis for deterministic output
-    basis = sp.Matrix.hstack(*null).T.rref()[0]
+            rows.extend(linear_rows(numer, index, monomial_coefficients))
     results = []
-    for r in range(basis.rows):
-        vec = basis.row(r)
-        if all(v == 0 for v in vec):
-            continue
+    # the row-reduced basis is canonical, so the output is deterministic
+    for vec in rational_nullspace(rows, len(unknowns)):
         field = SpatialVectorField(
             ctx,
             tuple(
@@ -255,7 +238,7 @@ def solve_homothetic(g: Metric, degree: int = 1, tol: float = 1e-10,
                 for i in range(n)
             ),
         )
-        psi_val = sp.Rational(vec[len(unknowns) - 1])
+        psi_val = vec[-1]
         kind = HomotheticKind.KILLING if psi_val == 0 else HomotheticKind.HOMOTHETIC
         results.append(HomotheticResult(field, psi_val, kind))
     results.sort(key=lambda r: 0 if r.kind is HomotheticKind.KILLING else 1)

@@ -1,23 +1,27 @@
 """Linear-algebraic solver for the determining equations over a declared ansatz.
 
 Every generator component is expanded over a user-declared time basis times
-spatial monomials; substituting the ansatz into the determining equations and
-collecting over independent atoms yields a homogeneous linear system with
-exact rational entries.  The nullspace, with pure-gauge directions (constant
-boundary terms) quotiented out, is the solution basis.
+spatial monomials, so the ansatz is a coefficient table: one unknown per
+(slot, basis function) pair.  Binding the ansatz into the determining
+equations gives expressions linear and homogeneous in the unknowns; one pass
+over the terms of each cleared numerator collects them over independent
+atoms into a matrix with exact rational entries.  Its nullspace over QQ,
+with pure-gauge directions (constant boundary terms) quotiented out, is the
+solution basis.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
-from .conditions import DeterminingSystem, build_conditions, verify
-from .context import Context
+from .conditions import DeterminingSystem, bind, build_conditions, verify
 from .lagrangian import ApproximateGenerator, GeneratorOrder, PerturbedLagrangian
 from .normal import (
     DEFAULT_SEED,
@@ -84,17 +88,27 @@ class AnsatzSpec:
         raise SolverError("time basis functions are not independent")
 
 
+
+@dataclass(frozen=True)
+class Column:
+    """One unknown of the ansatz: its slot (kind, order, component) and basis function.
+
+    The kind is "xi", "eta" or "f"; the component is 0 except for eta.
+    """
+
+    slot: tuple[str, int, int]
+    fn: sp.Expr
+
+
 @dataclass(frozen=True)
 class Ansatz:
-    """Instantiated search space: generator with unknown rational coefficients."""
+    """Instantiated search space: the coefficient table of the unknowns."""
 
     L: PerturbedLagrangian
     spec: AnsatzSpec
     unknowns: tuple[sp.Symbol, ...]
     gauge_unknowns: tuple[sp.Symbol, ...]
-    xi: tuple[sp.Expr, ...]
-    eta: tuple[tuple[sp.Expr, ...], ...]
-    f: tuple[sp.Expr, ...]
+    columns: tuple[Column, ...]  # aligned with unknowns
 
 
 @dataclass(frozen=True)
@@ -126,8 +140,77 @@ def _spatial_monomials(xs, degree: int, extra=()):
     return mons
 
 
+# -- exact kernel over QQ -------------------------------------------------
+
+
+def _rref(rows: Sequence[Sequence], ncols: int):
+    """Reduced row echelon form over QQ: (nonzero rows, pivot columns)."""
+    entries = {}
+    for i, row in enumerate(rows):
+        nonzero = {j: v if isinstance(v, QQ.dtype) else QQ(int(v.p), int(v.q))
+                   for j, v in enumerate(row) if v}
+        if nonzero:
+            entries[i] = nonzero
+    M = DomainMatrix(entries, (len(rows), ncols), QQ)
+    R, pivots = M.rref()
+    return R.to_list()[: len(pivots)], pivots
+
+
+def rational_nullspace(rows: Sequence[Sequence], ncols: int) -> list[tuple[sp.Rational, ...]]:
+    """The canonical (row-reduced) basis of {v : rows . v = 0}."""
+    R, pivots = _rref(rows, ncols)
+    null = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [QQ.zero] * ncols
+        vec[free] = QQ.one
+        for row, p in zip(R, pivots):
+            vec[p] = -row[free]
+        null.append(vec)
+    basis, _ = _rref(null, ncols)
+    return [tuple(QQ.to_sympy(v) for v in row) for row in basis]
+
+
+def rational_solve(columns: Sequence[Sequence], target: Sequence):
+    """Rational x with sum_k x_k columns[k] == target (free x_k = 0), or None."""
+    n = len(columns)
+    rows = [[col[i] for col in columns] + [y] for i, y in enumerate(target)]
+    R, pivots = _rref(rows, n + 1)
+    if n in pivots:
+        return None
+    x = [sp.Integer(0)] * n
+    for row, p in zip(R, pivots):
+        x[p] = QQ.to_sympy(row[n])
+    return x
+
+
+def linear_rows(numer: sp.Expr, index: dict, split: Callable[[sp.Expr], Iterable]):
+    """Coefficient rows of an expanded form linear and homogeneous in the unknowns.
+
+    One pass over the terms: each holds exactly one unknown (``index`` maps it
+    to its column), and the remainders are grouped by unknown.  ``split``
+    turns each group into (key, rational) pairs; one row is emitted per key.
+    """
+    groups: dict[int, list[sp.Expr]] = {}
+    for term in sp.Add.make_args(numer) if numer != 0 else ():
+        factors = sp.Mul.make_args(term)
+        cols = [index[f] for f in factors if f in index]
+        if len(cols) != 1:
+            raise SolverError(f"internal: term {term} is not linear in the unknowns")
+        groups.setdefault(cols[0], []).append(sp.Mul(*(f for f in factors if f not in index)))
+    forms = {col: dict(split(sp.Add(*parts))) for col, parts in groups.items()}
+    keys = sorted({k for form in forms.values() for k in form}, key=sp.default_sort_key)
+    zero = sp.Integer(0)
+    return [
+        [forms[col].get(key, zero) if col in forms else zero for col in range(len(index))]
+        for key in keys
+    ]
+
+
+# -- the pipeline ---------------------------------------------------------
+
+
 def instantiate(L: PerturbedLagrangian, spec: AnsatzSpec) -> Ansatz:
-    """Expand xi, eta and f over the ansatz with fresh unknown coefficients.
+    """Tabulate xi, eta and f over the ansatz with fresh unknown coefficients.
 
     Unknowns are ordered deterministically with the gauge unknowns (constant
     terms of the boundary ansatz) first, so the nullspace quotient below is a
@@ -159,67 +242,48 @@ def instantiate(L: PerturbedLagrangian, spec: AnsatzSpec) -> Ansatz:
         )
     spec.check_independent(ctx.t)
 
-    gauge = []
-    others = []
-    xi_parts, eta_parts, f_parts = [], [], []
+    gauge, others = [], []
     for A in range(n_orders):
-        f_expr = sp.Integer(0)
         for m_idx, T in enumerate(spec.time_basis):
             for s_idx, M in enumerate(f_mons):
-                c = sp.Symbol(f"_f{A}_{m_idx}_{s_idx}")
-                f_expr += c * T * M
-                if T * M == 1:
-                    gauge.append(c)
-                else:
-                    others.append(c)
-        f_parts.append(f_expr)
-        xi_expr = sp.Integer(0)
+                entry = (sp.Symbol(f"_f{A}_{m_idx}_{s_idx}"), Column(("f", A, 0), T * M))
+                (gauge if T * M == 1 else others).append(entry)
         for m_idx, T in enumerate(spec.time_basis):
-            c = sp.Symbol(f"_x{A}_{m_idx}")
-            xi_expr += c * T
-            others.append(c)
-        xi_parts.append(xi_expr)
-        comps = []
+            others.append((sp.Symbol(f"_x{A}_{m_idx}"), Column(("xi", A, 0), T)))
         for i in range(ctx.dimension):
-            e = sp.Integer(0)
             for m_idx, T in enumerate(spec.time_basis):
                 for s_idx, M in enumerate(eta_mons):
-                    c = sp.Symbol(f"_e{A}_{i}_{m_idx}_{s_idx}")
-                    e += c * T * M
-                    others.append(c)
-            comps.append(e)
-        eta_parts.append(tuple(comps))
-    unknowns = tuple(gauge) + tuple(others)
+                    others.append((sp.Symbol(f"_e{A}_{i}_{m_idx}_{s_idx}"),
+                                   Column(("eta", A, i), T * M)))
+    table = gauge + others
     return Ansatz(
-        L, spec, unknowns, tuple(gauge), tuple(xi_parts), tuple(eta_parts),
-        tuple(f_parts),
+        L, spec, tuple(u for u, _ in table), tuple(u for u, _ in gauge),
+        tuple(c for _, c in table),
     )
 
 
-def _substitute_ansatz(system: DeterminingSystem, ansatz: Ansatz):
-    """Bind the placeholder functions to the ansatz expressions."""
-    from .conditions import _placeholders
+def _generator(ansatz: Ansatz, name: str, vec: Sequence[sp.Expr]) -> ApproximateGenerator:
+    """The generator sum_c vec_c * fn_c, slot by slot; vec may be the unknowns."""
+    parts: dict[tuple[str, int, int], list[sp.Expr]] = {}
+    for c, column in zip(vec, ansatz.columns):
+        if c != 0:
+            parts.setdefault(column.slot, []).append(c * column.fn)
 
-    L = ansatz.L
-    xi, eta, f = _placeholders(L)
-    subs = {}
-    for A in range(L.order + 1):
-        subs[xi[A]] = ansatz.xi[A]
-        subs[f[A]] = ansatz.f[A]
-        for i in range(L.ctx.dimension):
-            subs[eta[A][i]] = ansatz.eta[A][i]
-    params = L.ctx.numeric_bindings()
-    out = []
-    for eq in system.equations:
-        lhs = eq.lhs.subs(subs).doit()
-        if params:
-            lhs = lhs.subs(params)
-        out.append((eq, lhs))
-    return out
+    def part(kind, A, i=0):
+        return sp.expand(sp.Add(*parts.get((kind, A, i), ())))
+
+    orders = range(ansatz.L.order + 1)
+    dim = ansatz.L.ctx.dimension
+    return ApproximateGenerator(
+        name,
+        tuple(GeneratorOrder(part("xi", A), tuple(part("eta", A, i) for i in range(dim)))
+              for A in orders),
+        tuple(part("f", A) for A in orders),
+    )
 
 
 def reduce(ansatz: Ansatz, system: Optional[DeterminingSystem] = None) -> LinearSystem:
-    """Collect each substituted equation over independent atoms.
+    """Collect each bound equation over independent atoms.
 
     The equations are linear and homogeneous in the unknowns; after clearing
     denominators, the coefficient of each unknown is normalized and one row
@@ -228,29 +292,17 @@ def reduce(ansatz: Ansatz, system: Optional[DeterminingSystem] = None) -> Linear
     if system is None:
         system = build_conditions(ansatz.L)
     unknowns = ansatz.unknowns
+    index = {u: col for col, u in enumerate(unknowns)}
     rows: list[list[sp.Rational]] = []
-    for eq, lhs in _substitute_ansatz(system, ansatz):
-        numer, _ = sp.fraction(sp.together(lhs))
-        numer = sp.expand(numer)
-        forms = {}
-        keys = set()
-        for col, u in enumerate(unknowns):
-            coeff = numer.diff(u)
-            if coeff == 0:
-                continue
-            try:
-                form = normalize(coeff, strict=False)
-            except NonNormalizableError as exc:
-                raise UnsupportedEquationError(
-                    f"order {eq.order} {eq.kind} {eq.component}: {exc}"
-                ) from exc
-            forms[col] = form
-            keys.update(k for k, _ in form.terms)
-        for key in sorted(keys, key=sp.default_sort_key):
-            rows.append([
-                forms[col].coefficient(key) if col in forms else sp.Integer(0)
-                for col in range(len(unknowns))
-            ])
+    for eq in bind(system, _generator(ansatz, "ansatz", unknowns)).equations:
+        numer, _ = sp.fraction(sp.together(eq.lhs))
+        try:
+            rows.extend(linear_rows(sp.expand(numer), index,
+                                    lambda c: normalize(c, strict=False).terms))
+        except NonNormalizableError as exc:
+            raise UnsupportedEquationError(
+                f"order {eq.order} {eq.kind} {eq.component}: {exc}"
+            ) from exc
     matrix = sp.ImmutableMatrix(rows) if rows else sp.ImmutableMatrix(0, len(unknowns), [])
     return LinearSystem(ansatz, matrix)
 
@@ -259,60 +311,31 @@ def nullspace(system: LinearSystem, tol: float = 1e-10,
               seed: int = DEFAULT_SEED, check: bool = True) -> SolutionBasis:
     """Exact nullspace, gauge-quotiented and canonically ordered.
 
-    The gauge unknowns come first in the column order, so after row-reducing
-    the raw nullspace basis the pure-gauge directions are exactly the rows
-    supported on the leading gauge block; they are dropped and the rest have
-    zero gauge components.
+    The gauge unknowns come first in the column order, so in the row-reduced
+    nullspace basis the pure-gauge directions are exactly the rows supported
+    on the leading gauge block; they are dropped and the rest have zero gauge
+    components.
     """
     ansatz = system.ansatz
-    null = system.matrix.nullspace() if system.matrix.rows else [
-        sp.Matrix([sp.Integer(i == j) for i in range(len(ansatz.unknowns))])
-        for j in range(len(ansatz.unknowns))
-    ]
+    null = rational_nullspace(system.matrix.tolist(), len(ansatz.unknowns))
     if not null:
         return SolutionBasis((), 0, "no solutions", (), ansatz)
-    basis = sp.Matrix.hstack(*null).T.rref()[0]
     n_gauge = len(ansatz.gauge_unknowns)
-    kept = []
-    dropped = 0
-    for r in range(basis.rows):
-        vec = basis.row(r)
-        if all(v == 0 for v in vec):
-            continue
-        if all(v == 0 for v in vec[n_gauge:]):
-            dropped += 1
-            continue
-        kept.append(tuple(sp.Rational(v) for v in vec))
-
-    generators = []
-    for idx, vec in enumerate(kept):
-        subs = {u: vec[c] for c, u in enumerate(ansatz.unknowns)}
-        orders = tuple(
-            GeneratorOrder(
-                sp.expand(ansatz.xi[A].subs(subs)),
-                tuple(sp.expand(e.subs(subs)) for e in ansatz.eta[A]),
-            )
-            for A in range(ansatz.L.order + 1)
-        )
-        boundary = tuple(
-            sp.expand(ansatz.f[A].subs(subs)) for A in range(ansatz.L.order + 1)
-        )
-        generators.append(ApproximateGenerator(f"S{idx}", orders, boundary))
+    kept = [vec for vec in null if any(v != 0 for v in vec[n_gauge:])]
+    dropped = len(null) - len(kept)
 
     def sort_key(pair):
         gen, vec = pair
         low = gen.lowest_order
         return (low if low is not None else ansatz.L.order + 1, vec)
 
-    paired = sorted(zip(generators, kept), key=sort_key)
-    generators = tuple(
-        ApproximateGenerator(f"S{i}", g.orders, g.boundary)
-        for i, (g, _) in enumerate(paired)
-    )
+    paired = sorted(((_generator(ansatz, "", vec), vec) for vec in kept), key=sort_key)
+    generators = tuple(replace(g, name=f"S{i}") for i, (g, _) in enumerate(paired))
     vectors = tuple(v for _, v in paired)
     if check:
+        conditions = build_conditions(ansatz.L)
         for g in generators:
-            report = verify(ansatz.L, g, tol, seed)
+            report = verify(ansatz.L, g, tol, seed, conditions)
             if not report.passed:
                 raise SolverError(
                     f"internal: solver produced {g.name} failing verification"
@@ -333,73 +356,49 @@ def solve(L: PerturbedLagrangian, spec: AnsatzSpec, tol: float = 1e-10,
 
 def _coordinates(expr: sp.Expr, basis_fns: Sequence[sp.Expr]):
     """Rational coordinates of expr in span{basis_fns}, or None."""
-    expr = sp.expand(sp.sympify(expr))
     try:
-        target = normalize(expr, strict=False)
+        target = normalize(sp.expand(sp.sympify(expr)), strict=False)
         forms = [normalize(sp.expand(b), strict=False) for b in basis_fns]
     except NonNormalizableError:
         return None
-    keys = sorted(
-        {k for form in forms for k, _ in form.terms} | {k for k, _ in target.terms},
-        key=sp.default_sort_key,
+    keys = list(dict.fromkeys(k for form in (*forms, target) for k, _ in form.terms))
+    return rational_solve(
+        [[form.coefficient(k) for k in keys] for form in forms],
+        [target.coefficient(k) for k in keys],
     )
-    A = sp.Matrix([[form.coefficient(k) for form in forms] for k in keys])
-    y = sp.Matrix([target.coefficient(k) for k in keys])
-    cs = sp.symbols(f"_d:{len(basis_fns)}")
-    sol = sp.linsolve((A, y), *cs) if basis_fns else (sp.EmptySet if keys else {()})
-    if not sol:
-        return None
-    vec = next(iter(sol))
-    vec = [v.subs({c: 0 for c in cs}) for v in vec]
-    if not all(v.is_Rational for v in vec):
-        return None
-    return [sp.Rational(v) for v in vec]
 
 
 def contains(basis: SolutionBasis, X: ApproximateGenerator,
              ignore_boundary_constant: bool = True) -> bool:
     """Exact span-membership test for a candidate generator.
 
-    The candidate is projected onto the ansatz coordinates (failing that, it
-    is not in the span) and membership is decided by an exact rational solve
-    against the solution vectors.  Constant shifts of the boundary terms are
-    gauge and ignored.
+    The candidate is projected onto the ansatz coordinates slot by slot
+    (failing that, it is not in the span) and membership is decided by an
+    exact rational solve against the solution vectors.  Constant shifts of
+    the boundary terms are gauge and ignored.
     """
     if basis.ansatz is None:
         raise SolverError("solution basis carries no ansatz")
     ansatz = basis.ansatz
     L = ansatz.L
     X.check_shape(L)
-    n_gauge = len(ansatz.gauge_unknowns)
-    # Each ansatz component is linear in the unknowns with function-valued
-    # coefficients; recover the candidate's coordinates componentwise.
-    slots = []
-    slots.append(("f", [ansatz.f[A] for A in range(L.order + 1)],
-                  [X.boundary[A] if X.boundary is not None else sp.Integer(0)
-                   for A in range(L.order + 1)]))
-    slots.append(("xi", [ansatz.xi[A] for A in range(L.order + 1)],
-                  [X.orders[A].xi for A in range(L.order + 1)]))
-    for i in range(L.ctx.dimension):
-        slots.append((f"eta{i}", [ansatz.eta[A][i] for A in range(L.order + 1)],
-                      [X.orders[A].eta[i] for A in range(L.order + 1)]))
-
-    vec = {u: sp.Integer(0) for u in ansatz.unknowns}
-    for _, templates, targets in slots:
-        for template, target in zip(templates, targets):
-            cols = [u for u in ansatz.unknowns if template.diff(u) != 0]
-            fns = [template.diff(u) for u in cols]
-            coords_part = _coordinates(target, fns)
-            if coords_part is None:
-                return False
-            for u, c in zip(cols, coords_part):
-                vec[u] = c
-    v = [vec[u] for u in ansatz.unknowns]
+    targets = {}
+    for A in range(L.order + 1):
+        targets[("f", A, 0)] = X.boundary[A] if X.boundary is not None else sp.Integer(0)
+        targets[("xi", A, 0)] = X.orders[A].xi
+        for i in range(L.ctx.dimension):
+            targets[("eta", A, i)] = X.orders[A].eta[i]
+    cols_of: dict[tuple[str, int, int], list[int]] = {}
+    for col, column in enumerate(ansatz.columns):
+        cols_of.setdefault(column.slot, []).append(col)
+    vec = [sp.Integer(0)] * len(ansatz.unknowns)
+    for slot, target in targets.items():
+        cols = cols_of[slot]
+        coords = _coordinates(target, [ansatz.columns[c].fn for c in cols])
+        if coords is None:
+            return False
+        for c, value in zip(cols, coords):
+            vec[c] = value
     if ignore_boundary_constant:
-        for k in range(n_gauge):
-            v[k] = sp.Integer(0)
-    if not basis.vectors:
-        return all(c == 0 for c in v)
-    M = sp.Matrix(basis.vectors).T
-    cs = sp.symbols(f"_s:{len(basis.vectors)}")
-    sol = sp.linsolve((M, sp.Matrix(v)), *cs)
-    return bool(sol)
+        vec[: len(ansatz.gauge_unknowns)] = [sp.Integer(0)] * len(ansatz.gauge_unknowns)
+    return rational_solve(basis.vectors, vec) is not None

@@ -1,7 +1,10 @@
 import sympy as sp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from noetherkit import AnsatzSpec, Context, contains, solve, verify
+from noetherkit import AnsatzSpec, Context, build_conditions, contains, solve, verify
+from noetherkit.conditions import bind
+from noetherkit.normal import normalize
 from noetherkit.solver import (
     MAX_UNKNOWNS,
     SolverError,
@@ -165,3 +168,96 @@ class TestEmptySpan:
         assert basis.nullspace_dim == 0
         assert basis.generators == ()
         assert not contains(basis, gen("Zt", (1, 0), (0, 0), (0, 0)))
+
+
+def from_table(ansatz, vec, name="T"):
+    """The generator sum_c vec_c * fn_c, assembled from the coefficient table."""
+    comp = {}
+    for c, column in zip(vec, ansatz.columns):
+        comp[column.slot] = comp.get(column.slot, 0) + c * column.fn
+    orders = range(ansatz.L.order + 1)
+    dim = ansatz.L.ctx.dimension
+    return ApproximateGenerator(
+        name,
+        tuple(GeneratorOrder(sp.expand(comp[("xi", A, 0)]),
+                             tuple(sp.expand(comp[("eta", A, i)]) for i in range(dim)))
+              for A in orders),
+        tuple(sp.expand(comp[("f", A, 0)]) for A in orders),
+    )
+
+
+def reference_matrix(ansatz):
+    """Rows assembled with one numer.diff(u) per unknown and equation."""
+    unknowns = ansatz.unknowns
+    rows = []
+    bound = bind(build_conditions(ansatz.L), from_table(ansatz, unknowns))
+    for eq in bound.equations:
+        numer = sp.expand(sp.fraction(sp.together(eq.lhs))[0])
+        forms = {}
+        for col, u in enumerate(unknowns):
+            coeff = numer.diff(u)
+            if coeff != 0:
+                forms[col] = normalize(coeff, strict=False)
+        keys = sorted({k for form in forms.values() for k, _ in form.terms},
+                      key=sp.default_sort_key)
+        rows.extend(
+            [forms[col].coefficient(k) if col in forms else 0 for col in range(len(unknowns))]
+            for k in keys
+        )
+    return sp.Matrix(rows)
+
+
+class TestOnePassAssembly:
+    def check(self, L, spec):
+        ansatz = instantiate(L, spec)
+        fast = sp.Matrix(reduce(ansatz).matrix)
+        slow = reference_matrix(ansatz)
+        assert fast.shape == slow.shape
+        assert fast.rref()[0] == slow.rref()[0]
+
+    def test_free_particle(self, free_particle, quadratic_spec):
+        self.check(free_particle, quadratic_spec)
+
+    def test_inverse_powers(self):
+        ctx = Context(("x",))
+        x, t = ctx.xs[0], ctx.t
+        L = flat_lagrangian(ctx, -1 / x**2 + x**2, -x**2 / (2 * t**2) + x / t)
+        self.check(L, AnsatzSpec((sp.Integer(1), t), spatial_degree=1,
+                                 include_inverse_powers=(1 / x,)))
+
+    def test_order_two(self):
+        ctx = Context(("x",))
+        x = ctx.xs[0]
+        L = flat_lagrangian(ctx, x**2 / 2 + x**3, x**4 + ctx.t * x, order=2)
+        self.check(L, AnsatzSpec((sp.Integer(1), ctx.t), spatial_degree=1))
+
+
+@pytest.fixture(scope="module")
+def free_particle_basis():
+    ctx = Context(("x",))
+    t = ctx.t
+    return solve(flat_lagrangian(ctx, 0, 0), AnsatzSpec((sp.Integer(1), t, t**2)))
+
+
+class TestMembership:
+    def test_irrational_coefficient(self, free_particle_basis):
+        t = free_particle_basis.ansatz.L.ctx.t
+        assert not contains(free_particle_basis, gen("irr", (0, 0), (sp.sqrt(2) * t, 0), (0, 0)))
+
+    def test_outside_the_ansatz(self, free_particle_basis):
+        ctx = free_particle_basis.ansatz.L.ctx
+        t, x = ctx.t, ctx.xs[0]
+        assert not contains(free_particle_basis, gen("cubic", (t**3, 0), (0, 0), (0, 0)))
+        assert not contains(free_particle_basis, gen("x2", (0, 0), (x**2, 0), (0, 0)))
+
+    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                    min_size=10, max_size=10))
+    @settings(max_examples=25, deadline=None)
+    def test_rational_combinations_in_span(self, free_particle_basis, coeffs):
+        basis = free_particle_basis
+        combo = [
+            sum(sp.Rational(c.numerator, c.denominator) * vec[k]
+                for c, vec in zip(coeffs, basis.vectors))
+            for k in range(len(basis.ansatz.unknowns))
+        ]
+        assert contains(basis, from_table(basis.ansatz, combo))
