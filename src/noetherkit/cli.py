@@ -167,12 +167,15 @@ def cmd_solve(problem: Problem, args) -> tuple[dict, int]:
 def cmd_integrals(problem: Problem, args) -> tuple[dict, int]:
     integrals = []
     quarantined = []
+    system = build_conditions(problem.L)
     for X in _select_candidates(problem, args.candidate):
         if X.quarantined:
             quarantined.append({"name": X.name, "note": X.note})
             continue
         X = _with_boundary(problem, X, args.tolerance, args.seed)
-        components = total_integral(problem.L, X, args.tolerance, args.seed)
+        components = total_integral(
+            problem.L, X, args.tolerance, args.seed, system=system
+        )
         entry = {
             "name": X.name,
             "components": [
@@ -194,11 +197,14 @@ def cmd_simulate(problem: Problem, args) -> tuple[dict, int]:
     if not epsilons:
         raise ProblemError("simulation.epsilons", "no epsilon values given")
     integrals = {}
+    system = build_conditions(problem.L)
     for X in _select_candidates(problem, args.candidate):
         if X.quarantined:
             continue
         X = _with_boundary(problem, X, args.tolerance, args.seed)
-        integrals[X.name] = total_integral(problem.L, X, args.tolerance, args.seed)
+        integrals[X.name] = total_integral(
+            problem.L, X, args.tolerance, args.seed, system=system
+        )
     records = []
     by_integral = {name: [] for name in integrals}
     for k, eps in enumerate(epsilons):

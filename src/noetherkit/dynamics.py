@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 from .conservation import EPSILON, FirstIntegral, NumericOnly, accelerations
 from .lagrangian import PerturbedLagrangian
@@ -39,32 +40,57 @@ class DriftRecord:
     t_span: tuple[float, float]
 
 
-def euler_lagrange(L: PerturbedLagrangian) -> list[sp.Expr]:
-    """Acceleration expressions in (t, x, xdot, epsilon)."""
-    return accelerations(L)
+def _step_function(L: PerturbedLagrangian, epsilon: float):
+    """One RK4 step as straight-line scalar code: step(t, dt, *state) -> state.
 
-
-def _rhs_function(L: PerturbedLagrangian, epsilon: float):
+    The generated source keeps the arithmetic of the textbook update with
+    stages k, l, p, q (``s + dt / 2 * k``, ``s + dt / 2 * l``, ``s + dt * p``,
+    then ``s + dt / 6 * (k + 2 * l + 2 * p + q)``) operation for operation,
+    so trajectories are bit-identical to a loop over lists; only the list and
+    call overhead is gone.
+    """
     ctx = L.ctx
     n = ctx.dimension
     try:
-        accel = euler_lagrange(L)
+        accel = accelerations(L)
     except NumericOnly as exc:
         raise IntegrationError(
             f"mass matrix not symbolically invertible: {exc}"
         ) from exc
-    accel = [a.subs(EPSILON, sp.Rational(str(epsilon))) for a in accel]
+    eps = sp.Rational(str(epsilon))
     args = (ctx.t, *ctx.xs, *ctx.vs)
-    fns = [sp.lambdify(args, a, modules=["math"]) for a in accel]
+    namespace = {
+        f"a{i}": sp.lambdify(args, a.subs(EPSILON, eps), modules=["math"])
+        for i, a in enumerate(accel)
+    }
+    m = 2 * n
+    s = [f"s{j}" for j in range(m)]
+    y = [f"y{j}" for j in range(m)]
 
-    def rhs(t, state):
-        out = [0.0] * (2 * n)
-        out[:n] = state[n:]
-        for i, fn in enumerate(fns):
-            out[n + i] = fn(t, *state)
-        return out
+    def stage(k, t, state):
+        # k0..k{m-1} = derivative of `state` at time t
+        return [f"    {k}{j} = {state[n + j]}" for j in range(n)] + [
+            f"    {k}{n + i} = a{i}({t}, {', '.join(state)})" for i in range(n)
+        ]
 
-    return rhs
+    def shifted(h, k):
+        return [f"    y{j} = s{j} + {h} * {k}{j}" for j in range(m)]
+
+    lines = [
+        f"def step(t, dt, {', '.join(s)}):",
+        "    h = dt / 2",
+        "    th = t + h",
+        *stage("k", "t", s), *shifted("h", "k"),
+        *stage("l", "th", y), *shifted("h", "l"),
+        *stage("p", "th", y), *shifted("dt", "p"),
+        *stage("q", "t + dt", y),
+        "    h = dt / 6",
+        *(f"    s{j} = s{j} + h * (k{j} + 2 * l{j} + 2 * p{j} + q{j})"
+          for j in range(m)),
+        f"    return ({', '.join(s)},)",
+    ]
+    exec("\n".join(lines), namespace)
+    return namespace["step"]
 
 
 def integrate(
@@ -78,17 +104,23 @@ def integrate(
     """Classical fixed-step RK4 from t_start to t_end.
 
     Deterministic bit-for-bit given identical inputs; aborts on a non-finite
-    state.  Negative dt is allowed for reverse integration (t_end < t_start).
+    input or state.  Negative dt is allowed for reverse integration
+    (t_end < t_start).
     """
+    n = L.ctx.dimension
+    state = tuple(float(v) for v in initial)
+    if not all(map(math.isfinite, (t_start, t_end, dt, epsilon, *state))):
+        raise IntegrationError(
+            f"non-finite input: t_start={t_start}, t_end={t_end}, dt={dt}, "
+            f"epsilon={epsilon}, initial={list(state)}"
+        )
     if dt == 0:
         raise IntegrationError("dt must be nonzero")
     if (t_end - t_start) * dt <= 0:
         raise IntegrationError("dt sign must match the integration direction")
-    n = L.ctx.dimension
-    state = [float(v) for v in initial]
     if len(state) != 2 * n:
         raise IntegrationError(f"initial state needs {2*n} entries, got {len(state)}")
-    rhs = _rhs_function(L, epsilon)
+    step = _step_function(L, epsilon)
     steps = max(1, int(round((t_end - t_start) / dt)))
     # keep the grid uniform AND land exactly on t_end
     dt = (t_end - t_start) / steps
@@ -96,20 +128,16 @@ def integrate(
     states = np.empty((steps + 1, 2 * n))
     times[0] = t_start
     states[0] = state
+    isfinite = math.isfinite
     t = t_start
     for k in range(steps):
         try:
-            k1 = rhs(t, state)
-            k2 = rhs(t + dt / 2, [s + dt / 2 * d for s, d in zip(state, k1)])
-            k3 = rhs(t + dt / 2, [s + dt / 2 * d for s, d in zip(state, k2)])
-            k4 = rhs(t + dt, [s + dt * d for s, d in zip(state, k3)])
+            state = step(t, dt, *state)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise IntegrationError(f"step {k} at t={t}: {exc}; state={state}") from exc
-        state = [
-            s + dt / 6 * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
-        if not all(math.isfinite(s) for s in state):
+            raise IntegrationError(
+                f"step {k} at t={t}: {exc}; state={list(state)}"
+            ) from exc
+        if not all(map(isfinite, state)):
             raise IntegrationError(f"non-finite state at step {k+1}, t={t+dt}")
         t = t_start + (k + 1) * dt
         times[k + 1] = t
@@ -117,25 +145,31 @@ def integrate(
     return Trajectory(times, states, float(epsilon), float(dt))
 
 
-def _integral_function(L: PerturbedLagrangian, I: FirstIntegral, epsilon: float):
-    ctx = L.ctx
-    expr = I.folded().subs(EPSILON, sp.Rational(str(epsilon)))
-    args = (ctx.t, *ctx.xs, *ctx.vs)
-    return sp.lambdify(args, expr, modules=["math"])
-
-
 def evaluate_integral(
     L: PerturbedLagrangian, integrals: Sequence[FirstIntegral],
     traj: Trajectory,
 ) -> np.ndarray:
-    """Folded value of a conservation law along a trajectory."""
-    fns = [_integral_function(L, I, traj.epsilon) for I in integrals]
-    out = np.empty(len(traj.times))
-    for k, (t, state) in enumerate(zip(traj.times, traj.states)):
-        try:
-            out[k] = sum(fn(t, *state) for fn in fns)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise IntegrationError(f"integral evaluation failed at t={t}: {exc}") from exc
+    """Folded value of a conservation law along a trajectory.
+
+    Each component is evaluated once on the whole trajectory with numpy
+    (printed by sympy's NumPyPrinter, so no ``from numpy import *``), and the
+    components are summed in order.  Raises IntegrationError at the first
+    time where the value is not finite.
+    """
+    ctx = L.ctx
+    eps = sp.Rational(str(traj.epsilon))
+    args = (ctx.t, *ctx.xs, *ctx.vs)
+    columns = (traj.times, *traj.states.T)
+    out = np.zeros(len(traj.times))
+    with np.errstate(all="ignore"):
+        for I in integrals:
+            fn = sp.lambdify(args, I.folded().subs(EPSILON, eps),
+                             modules=[{"numpy": np}], printer=NumPyPrinter)
+            out = out + fn(*columns)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        t = traj.times[np.argmax(bad)]
+        raise IntegrationError(f"integral evaluation failed at t={t}: non-finite value")
     return out
 
 

@@ -171,6 +171,29 @@ class TestSimulate:
     def test_missing_simulation_block(self):
         assert run("simulate", fixture_path("case1.json")) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", float("nan")),
+        ("t_end", float("nan")),
+        ("t_end", float("inf")),
+        ("t_start", float("nan")),
+        ("initial", [0.1, float("nan"), 0.0, 0.0]),
+        ("epsilons", [0.02, float("nan")]),
+    ])
+    def test_non_finite_input_is_input_error(self, capsys, sim_problem, field, value):
+        doc = json.loads(sim_problem.read_text())
+        doc["simulation"][field] = value
+        sim_problem.write_text(json.dumps(doc))
+        assert run("simulate", sim_problem) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite input")
+        assert "Traceback" not in err
+
+    def test_non_finite_epsilon_override(self, capsys, sim_problem):
+        assert run("simulate", sim_problem, "--epsilon", "nan") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite input")
+        assert "Traceback" not in err
+
 
 class TestKilling:
     def test_flat_3d(self, tmp_path):
