@@ -50,10 +50,26 @@ def _select_candidates(problem: Problem, name):
     raise ProblemError("candidates", f"no candidate named {name!r}")
 
 
+class CheckFailed(Exception):
+    """A selected candidate is not a symmetry, so it has no conservation law."""
+
+
 def _with_boundary(problem: Problem, X, tol, seed):
     if X.boundary is not None:
         return X
     return X.with_boundary(recover_boundary_terms(problem.L, X, tol, seed))
+
+
+def _conservation_law(problem: Problem, X, system, args):
+    """The components of the conservation law of X; CheckFailed if there is none."""
+    try:
+        X = _with_boundary(problem, X, args.tolerance, args.seed)
+    except IncompatibleError as exc:
+        raise CheckFailed(f"{X.name} has no boundary term: {exc}") from exc
+    if not verify(problem.L, X, args.tolerance, args.seed, system).passed:
+        raise CheckFailed(f"{X.name} fails verification")
+    return total_integral(problem.L, X, args.tolerance, args.seed,
+                          assume_verified=True, system=system)
 
 
 def _zero_status_entry(result):
@@ -86,6 +102,7 @@ def cmd_verify(problem: Problem, args) -> tuple[dict, int]:
     verdicts = []
     quarantined = []
     failed = False
+    system = None  # built for the first candidate that is verified
     for X in _select_candidates(problem, args.candidate):
         if X.quarantined:
             quarantined.append({"name": X.name, "note": X.note})
@@ -98,7 +115,9 @@ def cmd_verify(problem: Problem, args) -> tuple[dict, int]:
             verdicts.append({"name": X.name, "status": "fail", "reason": str(exc)})
             print(f"{X.name}: FAIL ({exc})")
             continue
-        report = verify(problem.L, X, args.tolerance, args.seed)
+        if system is None:
+            system = build_conditions(problem.L)
+        report = verify(problem.L, X, args.tolerance, args.seed, system)
         entry = {
             "name": X.name,
             "status": "pass" if report.passed else "fail",
@@ -146,7 +165,6 @@ def cmd_solve(problem: Problem, args) -> tuple[dict, int]:
         if X.quarantined:
             quarantined.append({"name": X.name, "note": X.note})
             continue
-        X = _with_boundary(problem, X, args.tolerance, args.seed)
         inside = contains(basis, X)
         membership.append({"name": X.name, "in_span": inside})
         failed = failed or not inside
@@ -172,10 +190,7 @@ def cmd_integrals(problem: Problem, args) -> tuple[dict, int]:
         if X.quarantined:
             quarantined.append({"name": X.name, "note": X.note})
             continue
-        X = _with_boundary(problem, X, args.tolerance, args.seed)
-        components = total_integral(
-            problem.L, X, args.tolerance, args.seed, system=system
-        )
+        components = _conservation_law(problem, X, system, args)
         entry = {
             "name": X.name,
             "components": [
@@ -201,10 +216,7 @@ def cmd_simulate(problem: Problem, args) -> tuple[dict, int]:
     for X in _select_candidates(problem, args.candidate):
         if X.quarantined:
             continue
-        X = _with_boundary(problem, X, args.tolerance, args.seed)
-        integrals[X.name] = total_integral(
-            problem.L, X, args.tolerance, args.seed, system=system
-        )
+        integrals[X.name] = _conservation_law(problem, X, system, args)
     records = []
     by_integral = {name: [] for name in integrals}
     for k, eps in enumerate(epsilons):
@@ -295,7 +307,10 @@ def main(argv=None) -> int:
             NonNormalizableError, NumericOnly) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (SolverError, IntegrationError, IncompatibleError) as exc:
+    except CheckFailed as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except (SolverError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = {"command": args.command, "problem": str(args.problem),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .lagrangian import ApproximateGenerator, GeneratorOrder, PerturbedLagrangia
 from .normal import (
     DEFAULT_SEED,
     NonNormalizableError,
+    NormalForm,
     normalize,
 )
 
@@ -68,25 +70,29 @@ class AnsatzSpec:
         )
 
     def check_independent(self, t: sp.Symbol, seed: int = DEFAULT_SEED) -> None:
-        """Wronskian sampling: the basis must be independent at some point."""
+        """Wronskian sampling: the basis must be independent at some point.
+
+        The Wronskian entries are evaluated at seeded points and the
+        determinant is taken in floating point.
+        """
         k = len(self.time_basis)
         if k == 1:
             if all(b == 0 for b in self.time_basis):
                 raise SolverError("time basis is identically zero")
             return
-        wronskian = sp.Matrix(
-            k, k, lambda i, j: sp.diff(self.time_basis[j], t, i)
-        ).det()
-        fn = sp.lambdify(t, wronskian, modules=["math"])
+        rows = [list(self.time_basis)]
+        for _ in range(k - 1):
+            rows.append([sp.diff(b, t) for b in rows[-1]])
+        entries = sp.lambdify(t, rows, modules=["math"])
         rng = np.random.default_rng(seed)
         for tv in rng.uniform(0.3, 2.3, size=8):
             try:
-                if abs(fn(tv)) > 1e-9:
-                    return
+                det = np.linalg.det(np.array(entries(tv), dtype=float))
             except (ValueError, ZeroDivisionError, OverflowError):
                 continue
+            if abs(det) > 1e-9:
+                return
         raise SolverError("time basis functions are not independent")
-
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,27 @@ class Ansatz:
     unknowns: tuple[sp.Symbol, ...]
     gauge_unknowns: tuple[sp.Symbol, ...]
     columns: tuple[Column, ...]  # aligned with unknowns
+
+    @cached_property
+    def slots(self) -> dict[tuple[str, int, int],
+                            tuple[tuple[int, ...], Optional[tuple[NormalForm, ...]]]]:
+        """Per slot, its columns and the normal forms of their functions.
+
+        Normalized once per ansatz, on the first membership test; the forms
+        are None when a function of the slot is outside the normalizable class.
+        """
+        cols_of: dict[tuple[str, int, int], list[int]] = {}
+        for col, column in enumerate(self.columns):
+            cols_of.setdefault(column.slot, []).append(col)
+        out = {}
+        for slot, cols in cols_of.items():
+            try:
+                forms = tuple(normalize(sp.expand(self.columns[c].fn), strict=False)
+                              for c in cols)
+            except NonNormalizableError:
+                forms = None
+            out[slot] = (tuple(cols), forms)
+        return out
 
 
 @dataclass(frozen=True)
@@ -354,11 +381,10 @@ def solve(L: PerturbedLagrangian, spec: AnsatzSpec, tol: float = 1e-10,
 # -- span membership ------------------------------------------------------
 
 
-def _coordinates(expr: sp.Expr, basis_fns: Sequence[sp.Expr]):
-    """Rational coordinates of expr in span{basis_fns}, or None."""
+def _coordinates(expr: sp.Expr, forms: Sequence[NormalForm]):
+    """Rational coordinates of expr in the span of the normal forms, or None."""
     try:
         target = normalize(sp.expand(sp.sympify(expr)), strict=False)
-        forms = [normalize(sp.expand(b), strict=False) for b in basis_fns]
     except NonNormalizableError:
         return None
     keys = list(dict.fromkeys(k for form in (*forms, target) for k, _ in form.terms))
@@ -368,37 +394,42 @@ def _coordinates(expr: sp.Expr, basis_fns: Sequence[sp.Expr]):
     )
 
 
-def contains(basis: SolutionBasis, X: ApproximateGenerator,
-             ignore_boundary_constant: bool = True) -> bool:
+def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
     """Exact span-membership test for a candidate generator.
 
     The candidate is projected onto the ansatz coordinates slot by slot
     (failing that, it is not in the span) and membership is decided by an
     exact rational solve against the solution vectors.  Constant shifts of
     the boundary terms are gauge and ignored.
+
+    ``X.boundary is None`` means f is free: only the xi and eta coordinates
+    are compared.  That decides the same question, because a solution with
+    xi = eta = 0 has f_x = f_t = 0, so its f is a constant, which is gauge;
+    restricted to the xi and eta columns the solution vectors stay
+    independent.
     """
     if basis.ansatz is None:
         raise SolverError("solution basis carries no ansatz")
     ansatz = basis.ansatz
-    L = ansatz.L
-    X.check_shape(L)
-    targets = {}
-    for A in range(L.order + 1):
-        targets[("f", A, 0)] = X.boundary[A] if X.boundary is not None else sp.Integer(0)
-        targets[("xi", A, 0)] = X.orders[A].xi
-        for i in range(L.ctx.dimension):
-            targets[("eta", A, i)] = X.orders[A].eta[i]
-    cols_of: dict[tuple[str, int, int], list[int]] = {}
-    for col, column in enumerate(ansatz.columns):
-        cols_of.setdefault(column.slot, []).append(col)
+    X.check_shape(ansatz.L)
+    free_f = X.boundary is None
     vec = [sp.Integer(0)] * len(ansatz.unknowns)
-    for slot, target in targets.items():
-        cols = cols_of[slot]
-        coords = _coordinates(target, [ansatz.columns[c].fn for c in cols])
+    for (kind, A, i), (cols, forms) in ansatz.slots.items():
+        if kind == "f":
+            if free_f:
+                continue
+            target = X.boundary[A]
+        else:
+            target = X.orders[A].xi if kind == "xi" else X.orders[A].eta[i]
+        coords = None if forms is None else _coordinates(target, forms)
         if coords is None:
             return False
         for c, value in zip(cols, coords):
             vec[c] = value
-    if ignore_boundary_constant:
-        vec[: len(ansatz.gauge_unknowns)] = [sp.Integer(0)] * len(ansatz.gauge_unknowns)
-    return rational_solve(basis.vectors, vec) is not None
+    # the solution vectors vanish on the gauge columns, so those are skipped
+    compared = [c for c, column in enumerate(ansatz.columns)
+                if c >= len(ansatz.gauge_unknowns)
+                and not (free_f and column.slot[0] == "f")]
+    return rational_solve(
+        [[v[c] for c in compared] for v in basis.vectors], [vec[c] for c in compared]
+    ) is not None

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import noetherkit.cli
 from noetherkit import fixture_path
 from noetherkit.cli import main
 
@@ -14,6 +15,28 @@ def run_report(tmp_path, *argv, name="report.json"):
     path = tmp_path / name
     code = run(*argv, "--report", path)
     return code, json.loads(path.read_text())
+
+
+def oscillator_problem(tmp_path, candidate):
+    """The oscillator with one candidate, a degree-2 ansatz and a short simulation."""
+    doc = {
+        "coordinates": ["x"],
+        "metric": [["1"]],
+        "V0": "x^2/2",
+        "V1": "0",
+        "candidates": [candidate],
+        "ansatz": {"time_basis": ["1", "t"], "spatial_degree": 2},
+        "simulation": {"initial": [1.0, 0.0], "t_end": 1.0, "dt": 0.01,
+                       "epsilons": [0.1, 0.05]},
+    }
+    path = tmp_path / f"{candidate['name']}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# xi_0 = t is no symmetry for any f; eta_0 = t*x^2 has no boundary term at all
+NOT_A_SYMMETRY = {"name": "bad", "xi": ["t", "0"], "eta": [["0"], ["0"]], "f": ["0", "0"]}
+OPEN_DIFFERENTIAL = {"name": "open", "xi": ["0", "0"], "eta": [["t*x^2"], ["0"]]}
 
 
 class TestVerify:
@@ -68,6 +91,17 @@ class TestVerify:
         assert report["verdicts"][0]["status"] == "fail"
         assert report["verdicts"][0]["classification"] == "not a symmetry"
 
+    def test_determining_system_built_once(self, monkeypatch):
+        calls = []
+        build = noetherkit.cli.build_conditions
+        monkeypatch.setattr(noetherkit.cli, "build_conditions",
+                            lambda L: calls.append(L) or build(L))
+        assert run("verify", fixture_path("case2.json")) == 0
+        assert len(calls) == 1
+        calls.clear()
+        assert run("verify", fixture_path("free_particle.json")) == 0
+        assert calls == []
+
     def test_boundary_recovered_when_absent(self, tmp_path):
         doc = {
             "coordinates": ["x"],
@@ -106,6 +140,36 @@ class TestSolve:
 
     def test_missing_ansatz(self):
         assert run("solve", fixture_path("case1.json")) == 2
+
+    def test_open_differential_is_out_of_span(self, tmp_path, capsys):
+        path = oscillator_problem(tmp_path, OPEN_DIFFERENTIAL)
+        code, report = run_report(tmp_path, "solve", path)
+        assert code == 1
+        assert report["membership"] == [{"name": "open", "in_span": False}]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_no_boundary_recovery(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve must not recover boundary terms")
+
+        monkeypatch.setattr(noetherkit.cli, "recover_boundary_terms", refuse)
+        code, report = run_report(tmp_path, "solve", fixture_path("case5.json"))
+        assert code == 0
+        membership = {m["name"]: m["in_span"] for m in report["membership"]}
+        # Z4 and Z5 carry no f
+        assert membership == {name: True for name in
+                              ("Z0", "Zt", "Zrot", "Z1", "Z2", "Z3", "Z4", "Z5")}
+
+
+@pytest.mark.parametrize("command", ["integrals", "simulate"])
+@pytest.mark.parametrize("candidate", [NOT_A_SYMMETRY, OPEN_DIFFERENTIAL],
+                         ids=["fails-verification", "open-differential"])
+def test_not_a_symmetry_is_check_failure(tmp_path, capsys, command, candidate):
+    assert run(command, oscillator_problem(tmp_path, candidate)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"check failed: {candidate['name']} ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestIntegrals:

@@ -2,8 +2,10 @@ import sympy as sp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noetherkit import AnsatzSpec, Context, build_conditions, contains, solve, verify
-from noetherkit.conditions import bind
+from noetherkit import (
+    AnsatzSpec, Context, build_conditions, contains, fixture_path, load_problem, solve, verify,
+)
+from noetherkit.conditions import IncompatibleError, bind, recover_boundary_terms
 from noetherkit.normal import normalize
 from noetherkit.solver import (
     MAX_UNKNOWNS,
@@ -21,6 +23,11 @@ def gen(name, xi, eta, f):
     orders = tuple(GeneratorOrder(x, (e,) if not isinstance(e, tuple) else e)
                    for x, e in zip(xi, eta))
     return ApproximateGenerator(name, orders, tuple(f))
+
+
+def without_f(X):
+    """The same candidate with its boundary terms left free."""
+    return ApproximateGenerator(X.name, X.orders)
 
 
 @pytest.fixture
@@ -71,6 +78,17 @@ class TestAnsatzSpec:
         spec = AnsatzSpec((t, 2 * t))
         with pytest.raises(SolverError, match="independent"):
             spec.check_independent(t)
+
+    def test_dependent_trig_basis(self):
+        t = sp.Symbol("t", real=True)
+        spec = AnsatzSpec((sp.sin(t) ** 2, sp.cos(t) ** 2, sp.Integer(1)))
+        with pytest.raises(SolverError, match="independent"):
+            spec.check_independent(t)
+
+    def test_shipped_eight_element_basis(self):
+        problem = load_problem(fixture_path("case2_solver.json"))
+        assert len(problem.ansatz.time_basis) == 8
+        problem.ansatz.check_independent(problem.L.ctx.t)
 
     def test_negative_degree(self):
         t = sp.Symbol("t", real=True)
@@ -156,6 +174,26 @@ class TestInverseSquareNumeric:
         t, x = L.ctx.t, L.ctx.xs[0]
         assert not contains(basis, gen("bogus", (0, 0), (0, t), (0, 0)))
         assert not contains(basis, gen("outside", (0, 0), (0, sp.sin(t) * x), (0, 0)))
+
+    def test_free_boundary_agrees_with_given_boundary(self, setup):
+        L, basis = setup
+        t, x = L.ctx.t, L.ctx.xs[0]
+        candidates = self.known(L.ctx) + [
+            gen("bogus", (0, 0), (0, t), (0, 0)),
+            gen("outside", (0, 0), (0, sp.sin(t) * x), (0, 0)),
+            gen("flipped", (0, -(t**2)), (0, t * x), (0, x**2 / 2)),
+        ]
+        for Z in candidates:
+            assert contains(basis, without_f(Z)) == contains(basis, Z), Z.name
+        for Z in self.known(L.ctx):
+            assert contains(basis, without_f(Z)), Z.name
+
+    def test_wrong_boundary_rejected_only_when_given(self, setup):
+        L, basis = setup
+        t, x = L.ctx.t, L.ctx.xs[0]
+        wrong_f = gen("Z3f", (0, t**2), (0, t * x), (0, x**2))
+        assert not contains(basis, wrong_f)
+        assert contains(basis, without_f(wrong_f))
 
 
 class TestEmptySpan:
@@ -260,4 +298,18 @@ class TestMembership:
                 for c, vec in zip(coeffs, basis.vectors))
             for k in range(len(basis.ansatz.unknowns))
         ]
-        assert contains(basis, from_table(basis.ansatz, combo))
+        X = from_table(basis.ansatz, combo)
+        assert contains(basis, X)
+        assert contains(basis, without_f(X))
+
+    def test_open_differential_without_f_out_of_span(self, oscillator):
+        t, x = oscillator.ctx.t, oscillator.ctx.xs[0]
+        basis = solve(oscillator, AnsatzSpec((sp.Integer(1), t), spatial_degree=2))
+        open_eta = ApproximateGenerator(
+            "open", (GeneratorOrder(0, (t * x**2,)), GeneratorOrder(0, (0,))))
+        with pytest.raises(IncompatibleError):
+            recover_boundary_terms(oscillator, open_eta)
+        assert not contains(basis, open_eta)
+        closed = ApproximateGenerator(
+            "Zt", (GeneratorOrder(1, (0,)), GeneratorOrder(0, (0,))))
+        assert contains(basis, closed)
