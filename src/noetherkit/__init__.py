@@ -22,7 +22,6 @@ from .geometry import (
     SpatialVectorField,
     check_homothetic,
     lie_derivative_metric,
-    lie_derivative_scalar,
     solve_homothetic,
 )
 from .lagrangian import ApproximateGenerator, GeneratorOrder, ModelError, PerturbedLagrangian

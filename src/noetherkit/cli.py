@@ -60,16 +60,15 @@ def _with_boundary(problem: Problem, X, tol, seed):
     return X.with_boundary(recover_boundary_terms(problem.L, X, tol, seed))
 
 
-def _conservation_law(problem: Problem, X, system, args):
+def _conservation_law(problem: Problem, X, args):
     """The components of the conservation law of X; CheckFailed if there is none."""
     try:
         X = _with_boundary(problem, X, args.tolerance, args.seed)
     except IncompatibleError as exc:
         raise CheckFailed(f"{X.name} has no boundary term: {exc}") from exc
-    if not verify(problem.L, X, args.tolerance, args.seed, system).passed:
+    if not verify(problem.L, X, args.tolerance, args.seed).passed:
         raise CheckFailed(f"{X.name} fails verification")
-    return total_integral(problem.L, X, args.tolerance, args.seed,
-                          assume_verified=True, system=system)
+    return total_integral(problem.L, X, args.tolerance, args.seed, assume_verified=True)
 
 
 def _zero_status_entry(result):
@@ -102,7 +101,6 @@ def cmd_verify(problem: Problem, args) -> tuple[dict, int]:
     verdicts = []
     quarantined = []
     failed = False
-    system = None  # built for the first candidate that is verified
     for X in _select_candidates(problem, args.candidate):
         if X.quarantined:
             quarantined.append({"name": X.name, "note": X.note})
@@ -115,9 +113,7 @@ def cmd_verify(problem: Problem, args) -> tuple[dict, int]:
             verdicts.append({"name": X.name, "status": "fail", "reason": str(exc)})
             print(f"{X.name}: FAIL ({exc})")
             continue
-        if system is None:
-            system = build_conditions(problem.L)
-        report = verify(problem.L, X, args.tolerance, args.seed, system)
+        report = verify(problem.L, X, args.tolerance, args.seed)
         entry = {
             "name": X.name,
             "status": "pass" if report.passed else "fail",
@@ -185,12 +181,11 @@ def cmd_solve(problem: Problem, args) -> tuple[dict, int]:
 def cmd_integrals(problem: Problem, args) -> tuple[dict, int]:
     integrals = []
     quarantined = []
-    system = build_conditions(problem.L)
     for X in _select_candidates(problem, args.candidate):
         if X.quarantined:
             quarantined.append({"name": X.name, "note": X.note})
             continue
-        components = _conservation_law(problem, X, system, args)
+        components = _conservation_law(problem, X, args)
         entry = {
             "name": X.name,
             "components": [
@@ -212,11 +207,10 @@ def cmd_simulate(problem: Problem, args) -> tuple[dict, int]:
     if not epsilons:
         raise ProblemError("simulation.epsilons", "no epsilon values given")
     integrals = {}
-    system = build_conditions(problem.L)
     for X in _select_candidates(problem, args.candidate):
         if X.quarantined:
             continue
-        integrals[X.name] = _conservation_law(problem, X, system, args)
+        integrals[X.name] = _conservation_law(problem, X, args)
     records = []
     by_integral = {name: [] for name in integrals}
     for k, eps in enumerate(epsilons):

@@ -1,11 +1,13 @@
 """Order-by-order approximate Noether determining equations.
 
-The builder emits, per epsilon order, the metric condition, the
+``residuals`` writes, per epsilon order, the metric condition, the
 boundary-term gradient condition, the potential condition and the
-xi-spatial-constancy condition, with the generator components and boundary
-terms as unevaluated function placeholders.  Binding a candidate generator
-turns every left-hand side into a concrete expression that the zero test can
-decide.
+xi-spatial-constancy condition of a generator given by its components.
+``build_conditions`` calls it with unevaluated function placeholders for the
+components and boundary terms, which is the system ``derive`` prints.
+``verify`` and the solver call it with a concrete candidate (or the ansatz
+generator) and bind the numeric parameters, and ``recover_boundary_terms``
+reads f_x and f_t off the gradient and potential conditions with f = 0.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from typing import Optional, Sequence
 import sympy as sp
 
 from .context import Context
+from .geometry import lie_matrix, lie_scalar
 from .lagrangian import ApproximateGenerator, ModelError, PerturbedLagrangian
-from .normal import DEFAULT_SEED, ZeroResult, ZeroStatus, is_zero
+from .normal import DEFAULT_SEED, ZeroResult, is_zero
 from .ops import total_time_derivative
 
 KIND_METRIC = "metric-condition"
@@ -44,100 +47,35 @@ class DeterminingSystem:
     L: PerturbedLagrangian
     equations: tuple[Equation, ...]
 
-    def of_kind(self, kind: str, order: Optional[int] = None):
-        return [
-            e
-            for e in self.equations
-            if e.kind == kind and (order is None or e.order == order)
-        ]
 
-
-def _placeholders(L: PerturbedLagrangian):
-    ctx = L.ctx
-    args = (ctx.t, *ctx.xs)
-    xi = [sp.Function(f"xi{A}")(*args) for A in range(L.order + 1)]
-    eta = [
-        [sp.Function(f"eta{A}_{i}")(*args) for i in range(ctx.dimension)]
-        for A in range(L.order + 1)
-    ]
-    f = [sp.Function(f"f{A}")(*args) for A in range(L.order + 1)]
-    return xi, eta, f
-
-
-def _lie_metric(m, eta, xs):
-    """Lie derivative of matrix m along the (possibly placeholder) field eta."""
-    n = m.shape[0]
-    out = sp.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            s = sp.Integer(0)
-            for k in range(n):
-                s += eta[k] * sp.diff(m[i, j], xs[k])
-                s += m[k, j] * sp.Derivative(eta[k], xs[i])
-                s += m[i, k] * sp.Derivative(eta[k], xs[j])
-            out[i, j] = s
-    return out
-
-
-def _lie_scalar(V, eta, xs):
-    return sp.Add(*(eta[k] * sp.diff(V, xs[k]) for k in range(len(xs))))
-
-
-def build_conditions(L: PerturbedLagrangian) -> DeterminingSystem:
-    """Determining equations for orders 0..n.
+def residuals(L: PerturbedLagrangian, xi: Sequence, eta: Sequence[Sequence],
+              f: Sequence) -> tuple[Equation, ...]:
+    """Determining equations of the generator (xi_A, eta_A^i, f_A), A = 0..n.
 
     Order 0 constrains (xi_0, eta_0, f_0) against (g, V0); each order
     gamma >= 1 couples (xi_{gamma-1}, eta_{gamma-1}) with (xi_gamma,
     eta_gamma) through (h, V1) and (g, V0).  Terms of order eps^{n+1} and
-    beyond are discarded.
+    beyond are discarded.  The components are expressions in (t, x) or
+    applied function placeholders, whose derivatives stay unevaluated.
     """
     ctx = L.ctx
     t, xs = ctx.t, ctx.xs
     n = ctx.dimension
-    g, h = L.g.entries, L.h.entries
-    xi, eta, f = _placeholders(L)
     eqs: list[Equation] = []
-
-    def D(e, v):
-        return sp.Derivative(e, v)
-
     for gamma in range(L.order + 1):
-        if gamma == 0:
-            metric = _lie_metric(g, eta[0], xs) - sp.Matrix(
-                n, n, lambda i, j: D(xi[0], t) * g[i, j]
-            )
-            gradient = [
-                sp.Add(*(g[i, j] * D(eta[0][i], t) for i in range(n))) - D(f[0], xs[j])
-                for j in range(n)
-            ]
-            potential = (
-                _lie_scalar(L.V0, eta[0], xs)
-                + D(xi[0], t) * L.V0
-                + xi[0] * sp.diff(L.V0, t)
-                + D(f[0], t)
-            )
-        else:
-            metric = (
-                _lie_metric(h, eta[gamma - 1], xs)
-                + _lie_metric(g, eta[gamma], xs)
-                - sp.Matrix(n, n, lambda i, j: D(xi[gamma - 1], t) * h[i, j])
-                - sp.Matrix(n, n, lambda i, j: D(xi[gamma], t) * g[i, j])
-            )
-            gradient = [
-                sp.Add(*(h[i, j] * D(eta[gamma - 1][i], t) for i in range(n)))
-                + sp.Add(*(g[i, j] * D(eta[gamma][i], t) for i in range(n)))
-                - D(f[gamma], xs[j])
-                for j in range(n)
-            ]
-            potential = (
-                _lie_scalar(L.V1, eta[gamma - 1], xs)
-                + _lie_scalar(L.V0, eta[gamma], xs)
-                + xi[gamma - 1] * sp.diff(L.V1, t)
-                + D(xi[gamma - 1], t) * L.V1
-                + xi[gamma] * sp.diff(L.V0, t)
-                + D(xi[gamma], t) * L.V0
-                + D(f[gamma], t)
-            )
+        # (kinetic matrix, potential, generator order) of each part of L at eps^gamma
+        parts = [(L.g.entries, L.V0, gamma)]
+        if gamma >= 1:
+            parts.append((L.h.entries, L.V1, gamma - 1))
+        metric = sp.zeros(n, n)
+        gradient = [-sp.diff(f[gamma], x) for x in xs]
+        potential = sp.diff(f[gamma], t)
+        for m, V, A in parts:
+            xi_t = sp.diff(xi[A], t)
+            metric += lie_matrix(m, eta[A], xs) - xi_t * m
+            for j in range(n):
+                gradient[j] += sp.Add(*(m[i, j] * sp.diff(eta[A][i], t) for i in range(n)))
+            potential += lie_scalar(V, eta[A], xs) + xi_t * V + xi[A] * sp.diff(V, t)
         for i in range(n):
             for j in range(i, n):
                 eqs.append(Equation(gamma, KIND_METRIC, (i, j), metric[i, j]))
@@ -145,36 +83,35 @@ def build_conditions(L: PerturbedLagrangian) -> DeterminingSystem:
             eqs.append(Equation(gamma, KIND_GRADIENT, (j,), gradient[j]))
         eqs.append(Equation(gamma, KIND_POTENTIAL, (), potential))
         for k in range(n):
-            eqs.append(
-                Equation(gamma, KIND_XI_CONSTANT, (k,), D(xi[gamma], xs[k]))
-            )
-    return DeterminingSystem(L, tuple(eqs))
+            eqs.append(Equation(gamma, KIND_XI_CONSTANT, (k,), sp.diff(xi[gamma], xs[k])))
+    return tuple(eqs)
 
 
-def bind(system: DeterminingSystem, X: ApproximateGenerator) -> DeterminingSystem:
-    """Substitute a candidate generator (with boundary terms) into the system."""
-    L = system.L
+def build_conditions(L: PerturbedLagrangian) -> DeterminingSystem:
+    """Determining equations for orders 0..n, with the generator components
+    and boundary terms as unevaluated function placeholders."""
+    ctx = L.ctx
+    args = (ctx.t, *ctx.xs)
+    orders = range(L.order + 1)
+    xi = [sp.Function(f"xi{A}")(*args) for A in orders]
+    eta = [[sp.Function(f"eta{A}_{i}")(*args) for i in range(ctx.dimension)] for A in orders]
+    f = [sp.Function(f"f{A}")(*args) for A in orders]
+    return DeterminingSystem(L, residuals(L, xi, eta, f))
+
+
+def candidate_residuals(L: PerturbedLagrangian,
+                        X: ApproximateGenerator) -> tuple[Equation, ...]:
+    """The determining equations of a candidate with boundary terms, parameters bound."""
     X.check_shape(L)
     if X.boundary is None:
         raise ModelError(
             f"candidate {X.name} has no boundary terms; recover them first"
         )
-    xi, eta, f = _placeholders(L)
-    subs = {}
-    for A in range(L.order + 1):
-        subs[xi[A]] = X.orders[A].xi
-        subs[f[A]] = X.boundary[A]
-        for i in range(L.ctx.dimension):
-            subs[eta[A][i]] = X.orders[A].eta[i]
+    eqs = residuals(L, [o.xi for o in X.orders], [o.eta for o in X.orders], X.boundary)
     params = L.ctx.numeric_bindings()
-    bound = []
-    for eq in system.equations:
-        # placeholders occur verbatim, so structural replacement binds them as subs would
-        lhs = eq.lhs.xreplace(subs).doit()
-        if params:
-            lhs = lhs.subs(params)
-        bound.append(replace(eq, lhs=lhs))
-    return DeterminingSystem(L, tuple(bound))
+    if params:
+        eqs = tuple(replace(eq, lhs=eq.lhs.subs(params)) for eq in eqs)
+    return eqs
 
 
 # -- prolongation ---------------------------------------------------------
@@ -265,7 +202,6 @@ def verify(
     X: ApproximateGenerator,
     tol: float = 1e-10,
     seed: int = DEFAULT_SEED,
-    system: Optional[DeterminingSystem] = None,
 ) -> VerificationReport:
     """Check a candidate against every determining equation.
 
@@ -273,11 +209,8 @@ def verify(
     zeroth-order part alone satisfies the full system), otherwise
     "approximate of order n".
     """
-    if system is None:
-        system = build_conditions(L)
-    bound = bind(system, X)
     verdicts = []
-    for eq in bound.equations:
+    for eq in candidate_residuals(L, X):
         res = is_zero(eq.lhs, tol, seed)
         eq = replace(eq, cleared_denominator=res.cleared_denominator)
         verdicts.append(EquationVerdict(eq, res))
@@ -314,34 +247,12 @@ def recover_boundary_terms(
     ctx = L.ctx
     t, xs = ctx.t, ctx.xs
     n = ctx.dimension
-    g, h = L.g.entries, L.h.entries
-    params = ctx.numeric_bindings()
+    # with f = 0 the gradient conditions are f_x and the potential condition is -f_t
+    eqs = candidate_residuals(L, X.with_boundary([0] * (L.order + 1)))
     out = []
     for gamma in range(L.order + 1):
-        xi_g = X.orders[gamma].xi
-        eta_g = X.orders[gamma].eta
-        f_x = [
-            sp.Add(*(g[i, j] * sp.diff(eta_g[i], t) for i in range(n)))
-            for j in range(n)
-        ]
-        f_t = -(
-            _lie_scalar(L.V0, eta_g, xs)
-            + sp.diff(xi_g, t) * L.V0
-            + xi_g * sp.diff(L.V0, t)
-        )
-        if gamma >= 1:
-            xi_p = X.orders[gamma - 1].xi
-            eta_p = X.orders[gamma - 1].eta
-            for j in range(n):
-                f_x[j] += sp.Add(*(h[i, j] * sp.diff(eta_p[i], t) for i in range(n)))
-            f_t -= (
-                _lie_scalar(L.V1, eta_p, xs)
-                + xi_p * sp.diff(L.V1, t)
-                + sp.diff(xi_p, t) * L.V1
-            )
-        if params:
-            f_x = [e.subs(params) for e in f_x]
-            f_t = f_t.subs(params)
+        f_x = [eq.lhs for eq in eqs if eq.order == gamma and eq.kind == KIND_GRADIENT]
+        f_t = -next(eq.lhs for eq in eqs if eq.order == gamma and eq.kind == KIND_POTENTIAL)
         # closure of the candidate differential
         for j in range(n):
             mixed = sp.diff(f_t, xs[j]) - sp.diff(f_x[j], t)

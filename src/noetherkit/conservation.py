@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import sympy as sp
 
-from .conditions import DeterminingSystem, verify
+from .conditions import verify
 from .lagrangian import ApproximateGenerator, ModelError, PerturbedLagrangian
 from .normal import DEFAULT_SEED, ZeroStatus, is_zero
 
@@ -57,13 +57,11 @@ def first_integral(
     tol: float = 1e-10,
     seed: int = DEFAULT_SEED,
     assume_verified: bool = False,
-    system: Optional[DeterminingSystem] = None,
 ) -> FirstIntegral:
     """The order-gamma component of the conservation law of X.
 
     I_0 = xi_0 H0 - (dL0/dxdot^i) eta_0^i + f_0; for gamma >= 1 the previous
-    order couples in through H1 and the L1 momenta.  ``system`` is the
-    determining system of L for the verification, built when not given.
+    order couples in through H1 and the L1 momenta.
     """
     X.check_shape(L)
     if X.boundary is None:
@@ -71,7 +69,7 @@ def first_integral(
     if not 0 <= gamma <= L.order:
         raise ValueError(f"gamma {gamma} outside 0..{L.order}")
     if not assume_verified:
-        report = verify(L, X, tol, seed, system)
+        report = verify(L, X, tol, seed)
         if not report.passed:
             raise ModelError(f"generator {X.name} fails verification")
     n = L.ctx.dimension
@@ -99,14 +97,11 @@ def total_integral(
     tol: float = 1e-10,
     seed: int = DEFAULT_SEED,
     assume_verified: bool = False,
-    system: Optional[DeterminingSystem] = None,
 ) -> list[FirstIntegral]:
     """All components I_0 .. I_n; their folded sum is the conservation law."""
     out = []
     for gamma in range(L.order + 1):
-        out.append(
-            first_integral(L, X, gamma, tol, seed, assume_verified, system)
-        )
+        out.append(first_integral(L, X, gamma, tol, seed, assume_verified))
         assume_verified = True
     return out
 

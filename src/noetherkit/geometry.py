@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
 import sympy as sp
 
 from .context import Context
@@ -67,25 +65,6 @@ class Metric:
     def is_zero_matrix(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def check_nondegenerate(self, seed: int = DEFAULT_SEED, points: int = 8) -> bool:
-        """Sample |det| at random coordinate points; warn on failure."""
-        det = self.entries.det()
-        syms = sorted(det.free_symbols, key=lambda s: s.name)
-        rng = np.random.default_rng(seed)
-        fn = sp.lambdify(syms, det, modules=["math"])
-        ok = True
-        for _ in range(points):
-            vals = rng.uniform(0.25, 2.0, size=len(syms))
-            try:
-                d = fn(*vals)
-            except (ValueError, ZeroDivisionError):
-                continue
-            if abs(d) <= 1e-8:
-                ok = False
-        if not ok:
-            warnings.warn("metric appears degenerate at sampled points", stacklevel=2)
-        return ok
-
 
 @dataclass(frozen=True)
 class SpatialVectorField:
@@ -125,28 +104,37 @@ class HomotheticResult:
         return self.kind is not HomotheticKind.NOT_HOMOTHETIC
 
 
-def lie_derivative_metric(g: Metric, Y: SpatialVectorField) -> sp.ImmutableMatrix:
-    """(L_Y g)_ij = Y^k g_ij,k + g_kj Y^k_,i + g_ik Y^k_,j."""
-    if Y.ctx.dimension != g.ctx.dimension:
-        raise GeometryError("dimension mismatch")
-    n = g.ctx.dimension
-    xs = g.ctx.xs
+def lie_matrix(m, Y, xs) -> sp.Matrix:
+    """(L_Y m)_ij = Y^k m_ij,k + m_kj Y^k_,i + m_ik Y^k_,j, unexpanded.
+
+    The components Y^k may depend on more than xs (the time, or function
+    placeholders, whose derivatives sp.diff leaves unevaluated).
+    """
+    n = m.shape[0]
     out = sp.zeros(n, n)
     for i in range(n):
         for j in range(n):
             s = sp.Integer(0)
             for k in range(n):
-                s += Y.components[k] * sp.diff(g.entries[i, j], xs[k])
-                s += g.entries[k, j] * sp.diff(Y.components[k], xs[i])
-                s += g.entries[i, k] * sp.diff(Y.components[k], xs[j])
-            out[i, j] = sp.expand(s)
-    return sp.ImmutableMatrix(out)
+                s += Y[k] * sp.diff(m[i, j], xs[k])
+                s += m[k, j] * sp.diff(Y[k], xs[i])
+                s += m[i, k] * sp.diff(Y[k], xs[j])
+            out[i, j] = s
+    return out
 
 
-def lie_derivative_scalar(V: sp.Expr, Y: SpatialVectorField) -> sp.Expr:
+def lie_scalar(V, Y, xs) -> sp.Expr:
     """Directional derivative Y^k V_,k."""
-    xs = Y.ctx.xs
-    return sp.Add(*(Y.components[k] * sp.diff(sp.sympify(V), xs[k]) for k in range(Y.ctx.dimension)))
+    return sp.Add(*(Y[k] * sp.diff(V, xs[k]) for k in range(len(xs))))
+
+
+def lie_derivative_metric(g: Metric, Y: SpatialVectorField) -> sp.ImmutableMatrix:
+    """(L_Y g)_ij = Y^k g_ij,k + g_kj Y^k_,i + g_ik Y^k_,j, expanded."""
+    if Y.ctx.dimension != g.ctx.dimension:
+        raise GeometryError("dimension mismatch")
+    return sp.ImmutableMatrix(
+        lie_matrix(g.entries, Y.components, g.ctx.xs).applyfunc(sp.expand)
+    )
 
 
 def check_homothetic(g: Metric, Y: SpatialVectorField, tol: float = 1e-10,

@@ -43,11 +43,6 @@ class PerturbedLagrangian:
                 raise ModelError(f"{name} must not depend on velocities")
             object.__setattr__(self, name, v)
 
-    @property
-    def potential_only_perturbation(self) -> bool:
-        """True when h == 0, i.e. L1 = -V1 up to no kinetic part."""
-        return self.h.is_zero_matrix
-
     def kinetic(self, m: Metric) -> sp.Expr:
         vs = self.ctx.vs
         n = self.ctx.dimension

@@ -1,24 +1,14 @@
-"""Elementary operations on expressions: derivatives, substitution, evaluation."""
+"""The total time derivative along trajectories."""
 
 from __future__ import annotations
-
-from typing import Mapping
 
 import sympy as sp
 
 from .context import Context
 
 
-class DomainError(ValueError):
-    """Evaluation hit a singularity or left the real domain."""
-
-
 class VelocityError(ValueError):
     """A velocity symbol appeared where only (t, x) dependence is allowed."""
-
-
-def differentiate(e: sp.Expr, v: sp.Symbol) -> sp.Expr:
-    return sp.diff(sp.sympify(e), v)
 
 
 def total_time_derivative(e: sp.Expr, ctx: Context) -> sp.Expr:
@@ -33,33 +23,3 @@ def total_time_derivative(e: sp.Expr, ctx: Context) -> sp.Expr:
     for x, v in zip(ctx.xs, ctx.vs):
         out += sp.diff(e, x) * v
     return out
-
-
-def substitute(e: sp.Expr, bindings: Mapping[sp.Symbol, sp.Expr]) -> sp.Expr:
-    if not bindings:
-        return sp.sympify(e)
-    return sp.sympify(e).subs(dict(bindings), simultaneous=True)
-
-
-def evaluate(e: sp.Expr, point: Mapping[sp.Symbol, float]) -> float:
-    """IEEE-double value of ``e`` with every free symbol bound."""
-    e = sp.sympify(e)
-    missing = e.free_symbols - set(sp.sympify(s) for s in point)
-    if missing:
-        raise ValueError(f"unbound symbols {sorted(map(str, missing))}")
-    try:
-        val = e.evalf(subs={sp.sympify(k): sp.Float(v) for k, v in point.items()})
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(f"evaluation failed for {e} at {point}: {exc}") from exc
-    if val.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
-        raise DomainError(f"singular value for {e} at {point}")
-    c = complex(val)
-    if abs(c.imag) > 1e-12 * (1 + abs(c.real)):
-        raise DomainError(f"non-real value {c} for {e} at {point}")
-    if not _finite(c.real):
-        raise DomainError(f"non-finite value for {e} at {point}")
-    return c.real
-
-
-def _finite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")

@@ -4,6 +4,7 @@ candidate generators, a solver ansatz, and a simulation setup."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,9 +47,34 @@ def _parse_expr(source, ctx: Context, path: str) -> sp.Expr:
     if not isinstance(source, str):
         raise ProblemError(path, f"expected an expression string, got {source!r}")
     try:
-        return parse(source, ctx)
+        expr = parse(source, ctx)
     except ParseError as exc:
         raise ProblemError(path, str(exc)) from exc
+    if expr.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        raise ProblemError(path, f"non-finite constant in {source!r}")
+    return expr
+
+
+# bool is a subclass of int in Python, but JSON true/false is no number
+def _integer(value, path: str) -> int:
+    if type(value) is not int:
+        raise ProblemError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemError(path, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ProblemError(path, str(exc)) from exc
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ProblemError(path, f"expected a list, got {value!r}")
+    return value
 
 
 def _load_metric(doc, key: str, ctx: Context, required: bool) -> Metric:
@@ -97,13 +123,13 @@ def _load_candidate(doc, idx: int, ctx: Context, order: int) -> ApproximateGener
         if not isinstance(f_raw, list) or len(f_raw) != order + 1:
             raise ProblemError(f"{base}.f", f"expected {order + 1} expression strings")
         boundary = tuple(_parse_expr(e, ctx, f"{base}.f[{A}]") for A, e in enumerate(f_raw))
-    return ApproximateGenerator(
-        name,
-        tuple(orders),
-        boundary,
-        quarantined=bool(doc.get("quarantine", False)),
-        note=str(doc.get("note", "")),
-    )
+    quarantined = doc.get("quarantine", False)
+    if not isinstance(quarantined, bool):
+        raise ProblemError(f"{base}.quarantine", f"expected true or false, got {quarantined!r}")
+    note = doc.get("note", "")
+    if not isinstance(note, str):
+        raise ProblemError(f"{base}.note", f"expected a string, got {note!r}")
+    return ApproximateGenerator(name, tuple(orders), boundary, quarantined, note)
 
 
 def load_problem(path) -> Problem:
@@ -120,7 +146,7 @@ def load_problem(path) -> Problem:
     coords = doc.get("coordinates")
     if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
         raise ProblemError("coordinates", "expected a list of names")
-    dim = doc.get("dimension", len(coords))
+    dim = _integer(doc.get("dimension", len(coords)), "dimension")
     if dim != len(coords):
         raise ProblemError(
             "dimension", f"{dim} does not match {len(coords)} coordinates"
@@ -129,8 +155,10 @@ def load_problem(path) -> Problem:
     if not isinstance(params, dict):
         raise ProblemError("parameters", "expected a map")
     for name, value in params.items():
-        if value != SYMBOLIC and not isinstance(value, (int, float, str)):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ProblemError(f"parameters.{name}", f"bad value {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ProblemError(f"parameters.{name}", f"non-finite value {value!r}")
         if isinstance(value, str) and value != SYMBOLIC:
             raise ProblemError(
                 f"parameters.{name}", f'string value must be "{SYMBOLIC}"'
@@ -141,7 +169,7 @@ def load_problem(path) -> Problem:
         raise ProblemError("coordinates", str(exc)) from exc
 
     order = doc.get("order", 1)
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ProblemError("order", "must be an integer >= 1")
     g = _load_metric(doc, "metric", ctx, required=True)
     h = _load_metric(doc, "h", ctx, required=False)
@@ -153,7 +181,7 @@ def load_problem(path) -> Problem:
         raise ProblemError("V0", str(exc)) from exc
 
     candidates = []
-    for idx, cdoc in enumerate(doc.get("candidates", [])):
+    for idx, cdoc in enumerate(_list(doc.get("candidates", []), "candidates")):
         if not isinstance(cdoc, dict):
             raise ProblemError(f"candidates[{idx}]", "expected an object")
         candidates.append(_load_candidate(cdoc, idx, ctx, order))
@@ -174,10 +202,11 @@ def load_problem(path) -> Problem:
         )
         inv = tuple(
             _parse_expr(m, ctx, f"ansatz.inverse_powers[{i}]")
-            for i, m in enumerate(adoc.get("inverse_powers", []))
+            for i, m in enumerate(_list(adoc.get("inverse_powers", []), "ansatz.inverse_powers"))
         )
+        degree = _integer(adoc.get("spatial_degree", 1), "ansatz.spatial_degree")
         try:
-            ansatz = AnsatzSpec(basis, int(adoc.get("spatial_degree", 1)), inv)
+            ansatz = AnsatzSpec(basis, degree, inv)
         except SolverError as exc:
             raise ProblemError("ansatz", str(exc)) from exc
 
@@ -191,16 +220,14 @@ def load_problem(path) -> Problem:
             raise ProblemError(
                 "simulation.initial", f"expected {2 * ctx.dimension} numbers"
             )
-        try:
-            simulation = Simulation(
-                tuple(float(v) for v in initial),
-                float(sdoc["t_end"]),
-                float(sdoc["dt"]),
-                float(sdoc.get("t_start", 0.0)),
-                tuple(float(e) for e in sdoc.get("epsilons", [])),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProblemError("simulation", str(exc)) from exc
+        epsilons = _list(sdoc.get("epsilons", []), "simulation.epsilons")
+        simulation = Simulation(
+            tuple(_number(v, f"simulation.initial[{i}]") for i, v in enumerate(initial)),
+            _number(sdoc.get("t_end"), "simulation.t_end"),
+            _number(sdoc.get("dt"), "simulation.dt"),
+            _number(sdoc.get("t_start", 0.0), "simulation.t_start"),
+            tuple(_number(e, f"simulation.epsilons[{i}]") for i, e in enumerate(epsilons)),
+        )
 
     return Problem(ctx, L, tuple(candidates), ansatz, simulation)
 

@@ -13,6 +13,7 @@ solution basis.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -22,7 +23,7 @@ import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from .conditions import DeterminingSystem, bind, build_conditions, verify
+from .conditions import candidate_residuals, verify
 from .lagrangian import ApproximateGenerator, GeneratorOrder, PerturbedLagrangian
 from .normal import (
     DEFAULT_SEED,
@@ -253,21 +254,21 @@ def instantiate(L: PerturbedLagrangian, spec: AnsatzSpec) -> Ansatz:
             raise SolverError(
                 f"time basis element {b} uses symbolic parameters; bind them to numbers"
             )
-    eta_mons = _spatial_monomials(ctx.xs, spec.spatial_degree, spec.include_inverse_powers)
-    f_mons = _spatial_monomials(
-        ctx.xs, spec.spatial_degree + 1, spec.include_inverse_powers
-    )
+    # monomials of total degree <= d in n coordinates: C(n + d, n), counted
+    # before any is built
+    n, d, extra = ctx.dimension, spec.spatial_degree, len(spec.include_inverse_powers)
+    n_eta, n_f = math.comb(n + d, n) + extra, math.comb(n + d + 1, n) + extra
     n_orders = L.order + 1
-    count = n_orders * len(spec.time_basis) * (
-        1 + ctx.dimension * len(eta_mons) + len(f_mons)
-    )
+    count = n_orders * len(spec.time_basis) * (1 + n * n_eta + n_f)
     if count > MAX_UNKNOWNS:
         raise SolverError(
             f"ansatz sizing: {count} unknowns exceeds the {MAX_UNKNOWNS} limit "
             f"({n_orders} orders x {len(spec.time_basis)} time basis x "
-            f"[1 xi + {ctx.dimension}x{len(eta_mons)} eta + {len(f_mons)} f])"
+            f"[1 xi + {n}x{n_eta} eta + {n_f} f])"
         )
     spec.check_independent(ctx.t)
+    eta_mons = _spatial_monomials(ctx.xs, d, spec.include_inverse_powers)
+    f_mons = _spatial_monomials(ctx.xs, d + 1, spec.include_inverse_powers)
 
     gauge, others = [], []
     for A in range(n_orders):
@@ -309,19 +310,17 @@ def _generator(ansatz: Ansatz, name: str, vec: Sequence[sp.Expr]) -> Approximate
     )
 
 
-def reduce(ansatz: Ansatz, system: Optional[DeterminingSystem] = None) -> LinearSystem:
+def reduce(ansatz: Ansatz) -> LinearSystem:
     """Collect each bound equation over independent atoms.
 
     The equations are linear and homogeneous in the unknowns; after clearing
     denominators, the coefficient of each unknown is normalized and one row
     is emitted per atom appearing across the equation.
     """
-    if system is None:
-        system = build_conditions(ansatz.L)
     unknowns = ansatz.unknowns
     index = {u: col for col, u in enumerate(unknowns)}
     rows: list[list[sp.Rational]] = []
-    for eq in bind(system, _generator(ansatz, "ansatz", unknowns)).equations:
+    for eq in candidate_residuals(ansatz.L, _generator(ansatz, "ansatz", unknowns)):
         numer, _ = sp.fraction(sp.together(eq.lhs))
         try:
             rows.extend(linear_rows(sp.expand(numer), index,
@@ -360,10 +359,8 @@ def nullspace(system: LinearSystem, tol: float = 1e-10,
     generators = tuple(replace(g, name=f"S{i}") for i, (g, _) in enumerate(paired))
     vectors = tuple(v for _, v in paired)
     if check:
-        conditions = build_conditions(ansatz.L)
         for g in generators:
-            report = verify(ansatz.L, g, tol, seed, conditions)
-            if not report.passed:
+            if not verify(ansatz.L, g, tol, seed).passed:
                 raise SolverError(
                     f"internal: solver produced {g.name} failing verification"
                 )

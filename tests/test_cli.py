@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noetherkit.cli
 from noetherkit import fixture_path
@@ -91,15 +96,16 @@ class TestVerify:
         assert report["verdicts"][0]["status"] == "fail"
         assert report["verdicts"][0]["classification"] == "not a symmetry"
 
-    def test_determining_system_built_once(self, monkeypatch):
+    def test_determining_system_built_once(self, monkeypatch, tmp_path):
+        """Candidates are checked without the placeholder system: it is never built."""
         calls = []
-        build = noetherkit.cli.build_conditions
-        monkeypatch.setattr(noetherkit.cli, "build_conditions",
-                            lambda L: calls.append(L) or build(L))
-        assert run("verify", fixture_path("case2.json")) == 0
-        assert len(calls) == 1
-        calls.clear()
-        assert run("verify", fixture_path("free_particle.json")) == 0
+        for module in (noetherkit.cli, noetherkit.conditions):
+            build = module.build_conditions
+            monkeypatch.setattr(module, "build_conditions",
+                                lambda L, build=build: calls.append(L) or build(L))
+        shift = {"name": "Zshift", "xi": ["0", "0"], "eta": [["sin(t)"], ["0"]]}
+        for command in ("verify", "integrals", "simulate"):
+            assert run(command, oscillator_problem(tmp_path, shift)) == 0
         assert calls == []
 
     def test_boundary_recovered_when_absent(self, tmp_path):
@@ -268,6 +274,24 @@ class TestKilling:
         assert [f["kind"] for f in fields].count("killing") == 6
 
 
+# each a non-finite constant or a value of the wrong JSON type, at its JSON path
+LOAD_PROBES = [
+    (("candidates", 0, "xi", 0), "1/0", "candidates[0].xi[0]"),
+    (("V0",), "x^(1/0)", "V0"),
+    (("V1",), "ln(0)", "V1"),
+    (("parameters",), {"a": float("nan")}, "parameters.a"),
+    (("ansatz",), {"time_basis": ["1"], "spatial_degree": "two"}, "ansatz.spatial_degree"),
+    (("ansatz",), {"time_basis": ["1"], "spatial_degree": 1.7}, "ansatz.spatial_degree"),
+    (("ansatz",), {"time_basis": ["1"], "inverse_powers": "x"}, "ansatz.inverse_powers"),
+    (("order",), True, "order"),
+    (("dimension",), True, "dimension"),
+    (("candidates",), {"name": "Zenergy"}, "candidates"),
+    (("candidates", 0, "quarantine"), "false", "candidates[0].quarantine"),
+    (("simulation", "dt"), True, "simulation.dt"),
+    (("simulation", "t_end"), 10**400, "simulation.t_end"),
+]
+
+
 class TestInputErrors:
     def test_missing_file(self):
         assert run("verify", "/nonexistent/problem.json") == 2
@@ -282,6 +306,52 @@ class TestInputErrors:
         path.write_text(json.dumps({"coordinates": ["x"], "metric": [["1"]],
                                     "dimension": 2}))
         assert run("verify", path) == 2
+
+    @pytest.mark.parametrize("path, value, json_path", LOAD_PROBES,
+                             ids=[probe[2] for probe in LOAD_PROBES])
+    def test_rejected_at_load(self, tmp_path, capsys, path, value, json_path):
+        doc = json.loads(fixture_path("oscillator.json").read_text())
+        set_field(doc, path, value)
+        problem = tmp_path / "probe.json"
+        problem.write_text(json.dumps(doc))
+        assert run("verify", problem) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {json_path}: ")
+        assert err.count("\n") == 1
+
+
+def set_field(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def field_paths(node, prefix=()):
+    """Every position inside a JSON document, containers and leaves alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from field_paths(child, prefix + (key,))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=10_000)
+def test_wrong_json_type_never_raises(data):
+    """One field of a shipped fixture replaced by a value of another JSON type."""
+    fixture = data.draw(st.sampled_from(["oscillator.json", "case1.json", "case3.json",
+                                         "case4.json"]))
+    doc = json.loads(fixture_path(fixture).read_text())
+    path = data.draw(st.sampled_from(list(field_paths(doc))))
+    set_field(doc, path, data.draw(st.sampled_from([True, 0.5, "s", [], {}, None])))
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "mutated.json"
+        problem.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("verify", problem)
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
 
 
 class TestDeterminism:

@@ -5,6 +5,8 @@ from noetherkit import (
     ApproximateGenerator,
     GeneratorOrder,
     build_conditions,
+    fixture_path,
+    load_problem,
     recover_boundary_terms,
     noether_residuals,
     verify,
@@ -15,10 +17,11 @@ from noetherkit.conditions import (
     KIND_METRIC,
     KIND_POTENTIAL,
     KIND_XI_CONSTANT,
-    bind,
+    candidate_residuals,
 )
 from noetherkit.lagrangian import ModelError
 from noetherkit.normal import ZeroStatus, is_zero
+from noetherkit.solver import _generator, instantiate
 
 from conftest import flat_lagrangian
 
@@ -34,8 +37,8 @@ class TestBuildConditions:
         system = build_conditions(inverse_square)
         assert len(system.equations) == 8
         for kind in (KIND_METRIC, KIND_GRADIENT, KIND_POTENTIAL, KIND_XI_CONSTANT):
-            assert len(system.of_kind(kind)) == 2
-            assert len(system.of_kind(kind, order=0)) == 1
+            assert len([e for e in system.equations if e.kind == kind]) == 2
+            assert len([e for e in system.equations if e.kind == kind and e.order == 0]) == 1
 
     def test_counts_2d_order2(self, ctx2):
         x, y = ctx2.xs
@@ -43,17 +46,73 @@ class TestBuildConditions:
         system = build_conditions(L)
         # per order: 3 metric (upper triangle), 2 gradient, 1 potential, 2 xi
         assert len(system.equations) == 3 * 8
-        assert len(system.of_kind(KIND_METRIC, order=2)) == 3
+        assert len([e for e in system.equations
+                    if e.kind == KIND_METRIC and e.order == 2]) == 3
 
     def test_placeholders_unevaluated(self, inverse_square):
         system = build_conditions(inverse_square)
         assert any(eq.lhs.atoms(sp.Derivative) for eq in system.equations)
 
     def test_bind_requires_boundary(self, inverse_square):
-        system = build_conditions(inverse_square)
+        """A candidate is checked with its boundary terms, never without."""
         Z = gen("Z", ("0", "1"), ("0", "0"))
         with pytest.raises(ModelError):
-            bind(system, Z)
+            verify(inverse_square, Z)
+
+
+ALL_FIXTURES = [
+    "case1.json", "case1_order2.json", "case2.json", "case2_solver.json", "case3.json",
+    "case4.json", "case5.json", "free_particle.json", "ndim.json", "oscillator.json",
+]
+
+
+def placeholder_route(L, X):
+    """Reference: the placeholder system with the candidate substituted.
+
+    build_conditions, then xreplace of every placeholder, doit, and the
+    numeric parameters substituted.
+    """
+    ctx = L.ctx
+    args = (ctx.t, *ctx.xs)
+    subs = {}
+    for A, o in enumerate(X.orders):
+        subs[sp.Function(f"xi{A}")(*args)] = o.xi
+        subs[sp.Function(f"f{A}")(*args)] = X.boundary[A]
+        for i, e in enumerate(o.eta):
+            subs[sp.Function(f"eta{A}_{i}")(*args)] = e
+    params = ctx.numeric_bindings()
+    out = []
+    for eq in build_conditions(L).equations:
+        lhs = eq.lhs.xreplace(subs).doit()
+        out.append(lhs.subs(params) if params else lhs)
+    return out
+
+
+class TestOneOperator:
+    """Equations of a concrete generator equal the bound placeholder system."""
+
+    def check(self, L, X):
+        direct = [eq.lhs for eq in candidate_residuals(L, X)]
+        reference = placeholder_route(L, X)
+        assert direct == reference
+        assert [str(e) for e in direct] == [str(e) for e in reference]
+
+    @pytest.mark.parametrize("fixture", ALL_FIXTURES)
+    def test_fixture_candidates(self, fixture):
+        p = load_problem(fixture_path(fixture))
+        for X in p.candidates:
+            if X.boundary is None:
+                try:
+                    X = X.with_boundary(recover_boundary_terms(p.L, X))
+                except IncompatibleError:
+                    X = X.with_boundary([0] * (p.L.order + 1))
+            self.check(p.L, X)
+
+    @pytest.mark.parametrize("fixture", ["free_particle.json", "case2_solver.json", "case5.json"])
+    def test_solver_template(self, fixture):
+        p = load_problem(fixture_path(fixture))
+        ansatz = instantiate(p.L, p.ansatz)
+        self.check(p.L, _generator(ansatz, "ansatz", ansatz.unknowns))
 
 
 class TestVerifyInverseSquare:

@@ -2,7 +2,7 @@ import sympy as sp
 import pytest
 
 from noetherkit import Context, ContextError, ParseError, UnknownIdentifierError, parse, print_expression
-from noetherkit.ops import DomainError, VelocityError, evaluate, substitute, total_time_derivative
+from noetherkit.ops import VelocityError, total_time_derivative
 
 
 class TestContext:
@@ -100,18 +100,3 @@ class TestOps:
     def test_total_time_derivative_rejects_velocities(self, ctx1):
         with pytest.raises(VelocityError):
             total_time_derivative(ctx1.vs[0] ** 2, ctx1)
-
-    def test_substitute_simultaneous(self, ctx2):
-        x, y = ctx2.xs
-        assert substitute(x * y, {x: y, y: x}) == x * y
-
-    def test_evaluate(self, ctx1):
-        x = ctx1.xs[0]
-        assert evaluate(x**2, {x: 3}) == pytest.approx(9.0)
-
-    def test_evaluate_domain_error(self, ctx1):
-        x = ctx1.xs[0]
-        with pytest.raises(DomainError):
-            evaluate(1 / x, {x: 0})
-        with pytest.raises(DomainError):
-            evaluate(sp.log(x), {x: -1})

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import sympy as sp
 import pytest
@@ -11,10 +9,9 @@ from noetherkit import (
     SpatialVectorField,
     check_homothetic,
     lie_derivative_metric,
-    lie_derivative_scalar,
     solve_homothetic,
 )
-from noetherkit.geometry import GeometryError, UnsupportedMetricError
+from noetherkit.geometry import GeometryError, UnsupportedMetricError, lie_scalar
 
 
 def euclidean(ctx):
@@ -39,15 +36,6 @@ class TestMetric:
     def test_rejects_asymmetric(self, ctx2):
         with pytest.raises(GeometryError):
             Metric(ctx2, sp.ImmutableMatrix([[1, 1], [0, 1]]))
-
-    def test_degeneracy_warning(self, ctx2):
-        x, y = ctx2.xs
-        m = Metric.from_rows(ctx2, [[1], [1, 1]])  # rank 1
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ok = m.check_nondegenerate()
-        assert not ok
-        assert caught
 
 
 class TestLieDerivative:
@@ -95,8 +83,7 @@ class TestLieDerivative:
 
     def test_scalar_directional(self, ctx2):
         x, y = ctx2.xs
-        Y = SpatialVectorField(ctx2, (y, -x))
-        assert sp.expand(lie_derivative_scalar(x**2 + y**2, Y)) == 0
+        assert sp.expand(lie_scalar(x**2 + y**2, (y, -x), ctx2.xs)) == 0
 
 
 class TestCheckHomothetic:

@@ -2,10 +2,12 @@ import sympy as sp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import noetherkit.solver
+
 from noetherkit import (
-    AnsatzSpec, Context, build_conditions, contains, fixture_path, load_problem, solve, verify,
+    AnsatzSpec, Context, contains, fixture_path, load_problem, solve, verify,
 )
-from noetherkit.conditions import IncompatibleError, bind, recover_boundary_terms
+from noetherkit.conditions import IncompatibleError, candidate_residuals, recover_boundary_terms
 from noetherkit.normal import normalize
 from noetherkit.solver import (
     MAX_UNKNOWNS,
@@ -56,6 +58,16 @@ class TestInstantiate:
         big = AnsatzSpec(tuple(t**k for k in range(500)), spatial_degree=4)
         with pytest.raises(SolverError, match="sizing"):
             instantiate(free_particle, big)
+
+    def test_sizing_counted_before_monomials(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("monomials enumerated before the sizing check")
+
+        monkeypatch.setattr(noetherkit.solver, "_spatial_monomials", refuse)
+        L = flat_lagrangian(Context(("x", "y", "z")), 0, 0)
+        huge = AnsatzSpec((sp.Integer(1),), spatial_degree=10**6)
+        with pytest.raises(SolverError, match="sizing"):
+            instantiate(L, huge)
 
     def test_symbolic_parameter_in_basis_rejected(self, inverse_square):
         t = inverse_square.ctx.t
@@ -228,8 +240,7 @@ def reference_matrix(ansatz):
     """Rows assembled with one numer.diff(u) per unknown and equation."""
     unknowns = ansatz.unknowns
     rows = []
-    bound = bind(build_conditions(ansatz.L), from_table(ansatz, unknowns))
-    for eq in bound.equations:
+    for eq in candidate_residuals(ansatz.L, from_table(ansatz, unknowns)):
         numer = sp.expand(sp.fraction(sp.together(eq.lhs))[0])
         forms = {}
         for col, u in enumerate(unknowns):
