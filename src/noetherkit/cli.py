@@ -23,7 +23,7 @@ from .conditions import (
 from .conservation import NumericOnly, total_integral
 from .dynamics import IntegrationError, drift, fit_slope, integrate, write_csv
 from .geometry import UnsupportedMetricError, solve_homothetic
-from .normal import DEFAULT_SEED, NonNormalizableError, ZeroStatus
+from .normal import DEFAULT_SEED, NonNormalizableError
 from .parsing import print_expression
 from .problem import Problem, ProblemError, load_problem
 from .solver import SolverError, UnsupportedEquationError, contains, solve
@@ -249,7 +249,7 @@ def cmd_simulate(problem: Problem, args) -> tuple[dict, int]:
 
 
 def cmd_killing(problem: Problem, args) -> tuple[dict, int]:
-    results = solve_homothetic(problem.L.g, args.degree, args.tolerance, args.seed)
+    results = solve_homothetic(problem.L.g, args.degree)
     fields = []
     for r in results:
         fields.append({

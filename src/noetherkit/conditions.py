@@ -13,7 +13,7 @@ reads f_x and f_t off the gradient and potential conditions with f = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import sympy as sp
 
@@ -21,7 +21,6 @@ from .context import Context
 from .geometry import lie_matrix, lie_scalar
 from .lagrangian import ApproximateGenerator, ModelError, PerturbedLagrangian
 from .normal import DEFAULT_SEED, ZeroResult, is_zero
-from .ops import total_time_derivative
 
 KIND_METRIC = "metric-condition"
 KIND_GRADIENT = "boundary-gradient"
@@ -39,12 +38,10 @@ class Equation:
     kind: str
     component: tuple[int, ...]
     lhs: sp.Expr
-    cleared_denominator: Optional[sp.Expr] = None
 
 
 @dataclass(frozen=True)
 class DeterminingSystem:
-    L: PerturbedLagrangian
     equations: tuple[Equation, ...]
 
 
@@ -96,7 +93,7 @@ def build_conditions(L: PerturbedLagrangian) -> DeterminingSystem:
     xi = [sp.Function(f"xi{A}")(*args) for A in orders]
     eta = [[sp.Function(f"eta{A}_{i}")(*args) for i in range(ctx.dimension)] for A in orders]
     f = [sp.Function(f"f{A}")(*args) for A in orders]
-    return DeterminingSystem(L, residuals(L, xi, eta, f))
+    return DeterminingSystem(residuals(L, xi, eta, f))
 
 
 def candidate_residuals(L: PerturbedLagrangian,
@@ -115,6 +112,24 @@ def candidate_residuals(L: PerturbedLagrangian,
 
 
 # -- prolongation ---------------------------------------------------------
+
+
+class VelocityError(ValueError):
+    """A velocity symbol appeared where only (t, x) dependence is allowed."""
+
+
+def total_time_derivative(e: sp.Expr, ctx: Context) -> sp.Expr:
+    """d/dt along trajectories: f_{,t} + f_{,k} xdot^k for f = f(t, x)."""
+    e = sp.sympify(e)
+    bad = e.free_symbols & set(ctx.vs)
+    if bad:
+        raise VelocityError(
+            f"total time derivative is first-order only; velocities {sorted(map(str, bad))} present"
+        )
+    out = sp.diff(e, ctx.t)
+    for x, v in zip(ctx.xs, ctx.vs):
+        out += sp.diff(e, x) * v
+    return out
 
 
 def prolong_apply(Xa: "GeneratorOrderLike", Lpart: sp.Expr, ctx: Context) -> sp.Expr:
@@ -185,7 +200,6 @@ class EquationVerdict:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    generator: ApproximateGenerator
     verdicts: tuple[EquationVerdict, ...]
     classification: str
 
@@ -209,11 +223,8 @@ def verify(
     zeroth-order part alone satisfies the full system), otherwise
     "approximate of order n".
     """
-    verdicts = []
-    for eq in candidate_residuals(L, X):
-        res = is_zero(eq.lhs, tol, seed)
-        eq = replace(eq, cleared_denominator=res.cleared_denominator)
-        verdicts.append(EquationVerdict(eq, res))
+    verdicts = [EquationVerdict(eq, is_zero(eq.lhs, tol, seed))
+                for eq in candidate_residuals(L, X)]
     higher_trivial = all(
         X.orders[A].is_trivial and X.boundary[A] == 0 for A in range(1, L.order + 1)
     )
@@ -224,7 +235,7 @@ def verify(
         classification = "exact"
     else:
         classification = f"approximate of order {L.order}"
-    return VerificationReport(X, tuple(verdicts), classification)
+    return VerificationReport(tuple(verdicts), classification)
 
 
 # -- boundary-term recovery ----------------------------------------------

@@ -8,13 +8,13 @@ parameter is structural, not numeric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import sympy as sp
 
 from .conditions import verify
 from .lagrangian import ApproximateGenerator, ModelError, PerturbedLagrangian
-from .normal import DEFAULT_SEED, ZeroStatus, is_zero
+from .normal import DEFAULT_SEED, is_zero
 
 EPSILON = sp.Symbol("epsilon", positive=True)
 
@@ -32,8 +32,8 @@ class FirstIntegral:
     source: str
     epsilon_power: int
 
-    def folded(self, eps: sp.Expr = EPSILON) -> sp.Expr:
-        return eps**self.epsilon_power * self.expr
+    def folded(self) -> sp.Expr:
+        return EPSILON**self.epsilon_power * self.expr
 
 
 def hamiltonian(L: PerturbedLagrangian, part: str) -> sp.Expr:
@@ -106,7 +106,7 @@ def total_integral(
     return out
 
 
-def accelerations(L: PerturbedLagrangian, eps: sp.Expr = EPSILON) -> list[sp.Expr]:
+def accelerations(L: PerturbedLagrangian) -> list[sp.Expr]:
     """xddot^i from the Euler-Lagrange equations of L0 + eps L1.
 
     M a = -grad V - (dM/dt along the flow) v with M = g + eps h; raises
@@ -115,8 +115,8 @@ def accelerations(L: PerturbedLagrangian, eps: sp.Expr = EPSILON) -> list[sp.Exp
     ctx = L.ctx
     n = ctx.dimension
     vs = ctx.vs
-    M = sp.Matrix(L.g.entries) + eps * sp.Matrix(L.h.entries)
-    V = L.V0 + eps * L.V1
+    M = sp.Matrix(L.g.entries) + EPSILON * sp.Matrix(L.h.entries)
+    V = L.V0 + EPSILON * L.V1
     rhs = sp.zeros(n, 1)
     for i in range(n):
         r = -sp.diff(V, ctx.xs[i])
@@ -138,38 +138,33 @@ def accelerations(L: PerturbedLagrangian, eps: sp.Expr = EPSILON) -> list[sp.Exp
 
 @dataclass(frozen=True)
 class DriftExpansion:
-    truncation: sp.Expr
     remainder: sp.Expr
     order: int
-
-    @property
-    def truncation_is_zero(self) -> bool:
-        return bool(is_zero(self.truncation))
+    truncation_is_zero: bool
 
 
 def symbolic_drift(
     L: PerturbedLagrangian,
     integrals: Sequence[FirstIntegral] | FirstIntegral,
-    order: Optional[int] = None,
     tol: float = 1e-10,
     seed: int = DEFAULT_SEED,
 ) -> DriftExpansion:
     """dI/dt along the perturbed flow, expanded in the parameter.
 
     The drift of the folded sum of the given components is truncated at the
-    target order (which must vanish for a valid approximate law); the next
-    coefficient is returned as the remainder.  Components below the target
-    order must all be supplied: truncating a single mixed-order component in
+    highest order among them (the truncation must vanish for a valid
+    approximate law, and is zero-tested with ``tol`` and ``seed``); the next
+    coefficient is returned as the remainder.  Components below that order
+    must all be supplied: truncating a single mixed-order component in
     isolation is not an invariant.
     """
     if isinstance(integrals, FirstIntegral):
         integrals = [integrals]
-    if order is None:
-        order = max(I.order for I in integrals)
+    order = max(I.order for I in integrals)
     eps = EPSILON
-    I = sp.Add(*(F.folded(eps) for F in integrals))
+    I = sp.Add(*(F.folded() for F in integrals))
     ctx = L.ctx
-    accel = accelerations(L, eps)
+    accel = accelerations(L)
     dI = sp.diff(I, ctx.t)
     for i in range(ctx.dimension):
         dI += sp.diff(I, ctx.xs[i]) * ctx.vs[i]
@@ -194,4 +189,5 @@ def symbolic_drift(
                 truncation += eps**k * coeff
             elif k == order + 1:
                 remainder = coeff
-    return DriftExpansion(sp.expand(truncation), sp.expand(remainder), order)
+    return DriftExpansion(sp.expand(remainder), order,
+                          bool(is_zero(sp.expand(truncation), tol, seed)))

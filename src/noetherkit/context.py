@@ -1,19 +1,20 @@
 """Symbol table shared by every symbolic computation.
 
-A Context fixes the names of the time variable, the configuration
-coordinates, the derived velocity names (coordinate name + "dot") and any
-extra parameters (bound to an exact rational value, or left symbolic).
+A Context fixes the names of the configuration coordinates, the derived
+velocity names (coordinate name + "dot") and any extra parameters (bound to
+an exact rational value, or left symbolic).  The time variable is always t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import sympy as sp
 
 SYMBOLIC = "symbolic"
+TIME = "t"
 
 ParamValue = Union[int, float, Fraction, sp.Rational, str]
 
@@ -40,7 +41,6 @@ class Context:
     """Names and symbols for one perturbed-Lagrangian problem."""
 
     coordinates: tuple[str, ...]
-    time: str = "t"
     parameters: Mapping[str, ParamValue] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -49,7 +49,7 @@ class Context:
         if len(coords) < 1:
             raise ContextError("dimension must be >= 1")
         velocities = tuple(c + "dot" for c in coords)
-        names = [self.time, *coords, *velocities, *self.parameters]
+        names = [TIME, *coords, *velocities, *self.parameters]
         if len(set(names)) != len(names):
             raise ContextError(f"identifiers are not distinct: {sorted(names)}")
         params = {}
@@ -72,7 +72,7 @@ class Context:
 
     @property
     def t(self) -> sp.Symbol:
-        return sp.Symbol(self.time, real=True)
+        return sp.Symbol(TIME, real=True)
 
     @property
     def xs(self) -> tuple[sp.Symbol, ...]:
@@ -82,17 +82,13 @@ class Context:
     def vs(self) -> tuple[sp.Symbol, ...]:
         return tuple(sp.Symbol(c, real=True) for c in self.velocities)
 
-    @property
-    def param_symbols(self) -> tuple[sp.Symbol, ...]:
-        return tuple(sp.Symbol(p, real=True) for p in self.parameters)
-
     def symbol(self, name: str) -> sp.Symbol:
         if name not in self.names():
             raise ContextError(f"unknown identifier {name!r}")
         return sp.Symbol(name, real=True)
 
     def names(self) -> tuple[str, ...]:
-        return (self.time, *self.coordinates, *self.velocities, *self.parameters)
+        return (TIME, *self.coordinates, *self.velocities, *self.parameters)
 
     def numeric_bindings(self) -> dict[sp.Symbol, sp.Rational]:
         """Substitution map for every parameter bound to a number."""

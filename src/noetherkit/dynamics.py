@@ -14,6 +14,10 @@ from .conservation import EPSILON, FirstIntegral, NumericOnly, accelerations
 from .lagrangian import PerturbedLagrangian
 
 
+# RK4 steps allowed per integration (one epsilon); checked before any allocation
+MAX_STEPS = 10**7
+
+
 class IntegrationError(RuntimeError):
     pass
 
@@ -23,12 +27,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), 2n): x then xdot
     epsilon: float
-    step: float
-    method: str = "rk4"
-
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1] // 2
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,13 @@ def integrate(
         raise IntegrationError("dt sign must match the integration direction")
     if len(state) != 2 * n:
         raise IntegrationError(f"initial state needs {2*n} entries, got {len(state)}")
+    span = (t_end - t_start) / dt  # may overflow to inf
+    if span > MAX_STEPS:
+        raise IntegrationError(
+            f"(t_end - t_start) / dt = {span:g} steps exceeds the limit of {MAX_STEPS} per epsilon"
+        )
     step = _step_function(L, epsilon)
-    steps = max(1, int(round((t_end - t_start) / dt)))
+    steps = max(1, int(round(span)))
     # keep the grid uniform AND land exactly on t_end
     dt = (t_end - t_start) / steps
     times = np.empty(steps + 1)
@@ -142,7 +145,7 @@ def integrate(
         t = t_start + (k + 1) * dt
         times[k + 1] = t
         states[k + 1] = state
-    return Trajectory(times, states, float(epsilon), float(dt))
+    return Trajectory(times, states, float(epsilon))
 
 
 def evaluate_integral(
@@ -197,7 +200,7 @@ class ScalingResult:
     exponent: Optional[float]
     records: tuple[DriftRecord, ...]
     excluded: tuple[float, ...]
-    note: str = ""
+    note: str
 
 
 def scaling_exponent(
@@ -207,7 +210,6 @@ def scaling_exponent(
     initial: Sequence[float],
     t_end: float,
     dt: float,
-    t_start: float = 0.0,
     noise_floor: float = 1e-12,
 ) -> ScalingResult:
     """Least-squares slope of log max drift against log epsilon.
@@ -222,7 +224,7 @@ def scaling_exponent(
         raise ValueError("need at least two epsilon values")
     records = []
     for eps in epsilons:
-        traj = integrate(L, initial, t_end, dt, eps, t_start)
+        traj = integrate(L, initial, t_end, dt, eps)
         records.append(drift(L, integrals, traj))
     return fit_slope(records, noise_floor)
 

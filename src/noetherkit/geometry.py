@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import sympy as sp
 
 from .context import Context
-from .normal import DEFAULT_SEED, ZeroStatus, clear_denominator, is_zero
+from .normal import clear_denominator, is_zero
 
 
 class GeometryError(ValueError):
@@ -137,8 +137,7 @@ def lie_derivative_metric(g: Metric, Y: SpatialVectorField) -> sp.ImmutableMatri
     )
 
 
-def check_homothetic(g: Metric, Y: SpatialVectorField, tol: float = 1e-10,
-                     seed: int = DEFAULT_SEED) -> HomotheticResult:
+def check_homothetic(g: Metric, Y: SpatialVectorField) -> HomotheticResult:
     """Test L_Y g = 2 psi g for a single rational constant psi."""
     lie = lie_derivative_metric(g, Y)
     n = g.ctx.dimension
@@ -148,7 +147,7 @@ def check_homothetic(g: Metric, Y: SpatialVectorField, tol: float = 1e-10,
             (i, j)
             for i in range(n)
             for j in range(n)
-            if not is_zero(g.entries[i, j], tol, seed)
+            if not is_zero(g.entries[i, j])
         ),
         None,
     )
@@ -163,7 +162,7 @@ def check_homothetic(g: Metric, Y: SpatialVectorField, tol: float = 1e-10,
     residual = sp.Matrix(n, n, lambda i, j: sp.expand(lie[i, j] - 2 * psi * g.entries[i, j]))
     for i in range(n):
         for j in range(n):
-            if not is_zero(residual[i, j], tol, seed):
+            if not is_zero(residual[i, j]):
                 return HomotheticResult(
                     Y, None, HomotheticKind.NOT_HOMOTHETIC, sp.ImmutableMatrix(residual)
                 )
@@ -171,8 +170,7 @@ def check_homothetic(g: Metric, Y: SpatialVectorField, tol: float = 1e-10,
     return HomotheticResult(Y, psi, kind)
 
 
-def solve_homothetic(g: Metric, degree: int = 1, tol: float = 1e-10,
-                     seed: int = DEFAULT_SEED) -> list[HomotheticResult]:
+def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
     """All solutions of L_Y g = 2 psi g with polynomial Y of total degree <= degree.
 
     Coefficient collection over monomials gives a homogeneous rational linear

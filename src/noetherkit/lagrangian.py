@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import sympy as sp
@@ -34,9 +34,8 @@ class PerturbedLagrangian:
     def __post_init__(self):
         if self.order < 1:
             raise ModelError("perturbation order must be >= 1")
-        if self.g.ctx is not self.ctx or self.h.ctx is not self.ctx:
-            object.__setattr__(self, "g", Metric(self.ctx, self.g.entries))
-            object.__setattr__(self, "h", Metric(self.ctx, self.h.entries))
+        if self.g.ctx != self.ctx or self.h.ctx != self.ctx:
+            raise ModelError("metrics must share the Lagrangian's context")
         for name in ("V0", "V1"):
             v = sp.sympify(getattr(self, name))
             if v.free_symbols & set(self.ctx.vs):

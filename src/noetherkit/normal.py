@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 import sympy as sp
@@ -79,10 +79,10 @@ class ZeroResult:
         return self.status is ZeroStatus.UNDECIDED and self.samples >= SAMPLE_COUNT // 2
 
 
-def _trig_expand(e: sp.Expr, max_rounds: int = 8) -> sp.Expr:
-    """Expand and rewrite trig products to sums until a fixed point."""
+def _trig_expand(e: sp.Expr) -> sp.Expr:
+    """Expand and rewrite trig products to sums until a fixed point (8 rounds at most)."""
     e = sp.expand(e)
-    for _ in range(max_rounds):
+    for _ in range(8):
         e2 = sp.expand(TR8(e))
         if e2 == e:
             break
@@ -101,7 +101,7 @@ def _polynomial_argument(arg: sp.Expr) -> bool:
     return all(c.is_Rational for c in poly.coeffs())
 
 
-def _check_factor(factor: sp.Expr, strict: bool) -> None:
+def _check_factor(factor: sp.Expr) -> None:
     base, expo = factor.as_base_exp()
     if base is sp.E:
         # exp factors present themselves as E**arg; powers fold into the arg
@@ -111,8 +111,6 @@ def _check_factor(factor: sp.Expr, strict: bool) -> None:
     if base.is_Symbol:
         if not expo.is_Integer:
             raise NonNormalizableError(f"non-integer power {factor}")
-        if strict and expo < 0:
-            raise NonNormalizableError(f"negative power {factor}")
         return
     if isinstance(base, _ATOM_FUNCS):
         if not (expo.is_Integer and expo == 1):
@@ -129,12 +127,11 @@ def _check_factor(factor: sp.Expr, strict: bool) -> None:
     raise NonNormalizableError(f"unsupported factor {factor}")
 
 
-def normalize(e: sp.Expr, strict: bool = True) -> NormalForm:
+def normalize(e: sp.Expr) -> NormalForm:
     """Canonical form of ``e``; raises NonNormalizableError outside the class.
 
-    With strict=True negative symbol powers are rejected (clear denominators
-    first); the solver uses strict=False where 1/t-type time-basis atoms are
-    legitimate.
+    Integer powers of a symbol, negative ones included, are atoms, so 1/t-type
+    time-basis functions normalize.
     """
     e = _trig_expand(sp.sympify(e))
     collected: dict[sp.Expr, sp.Rational] = {}
@@ -147,7 +144,7 @@ def normalize(e: sp.Expr, strict: bool = True) -> NormalForm:
                 continue
             if factor.is_number:
                 raise NonNormalizableError(f"non-rational constant {factor}")
-            _check_factor(factor, strict)
+            _check_factor(factor)
             atoms.append(factor)
         key = sp.Mul(*atoms)
         coeff = collected.get(key, sp.Integer(0)) + coeff
@@ -173,10 +170,10 @@ def clear_denominator(e: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
     return sp.expand(numer), denom
 
 
-def sample_points(symbols, seed: int, count: int = SAMPLE_COUNT):
+def sample_points(symbols, seed: int):
     rng = np.random.default_rng(seed)
     lo, hi = SAMPLE_RANGE
-    return rng.uniform(lo, hi, size=(count, len(symbols)))
+    return rng.uniform(lo, hi, size=(SAMPLE_COUNT, len(symbols)))
 
 
 def _eval_at(fn, values):
@@ -230,7 +227,7 @@ def is_zero(e: sp.Expr, tol: float = 1e-10, seed: int = DEFAULT_SEED) -> ZeroRes
     numer, denom = clear_denominator(e)
     cleared = None if denom == 1 else denom
     try:
-        form = normalize(numer, strict=False)
+        form = normalize(numer)
         if form.is_zero:
             return ZeroResult(ZeroStatus.ZERO, cleared_denominator=cleared)
         normal_ok = True

@@ -9,7 +9,8 @@ Grammar::
     func   := "sin" | "cos" | "exp" | "ln"
     exponent := integer | "(" ["-"] integer ["/" integer] ")"
 
-Numbers are decimals and are read exactly (no binary-float rounding).
+Numbers are decimals and are read exactly (no binary-float rounding).  Each
+exponent p or p/q is bounded by |p|, q <= 64.
 Velocities are written with a "dot" suffix (e.g. ``xdot``); identifiers must
 be declared in the Context.  ``print_expression`` emits source that reparses
 to the same expression.
@@ -29,6 +30,8 @@ FUNCTIONS = {
     "exp": sp.exp,
     "ln": sp.log,
 }
+
+MAX_EXPONENT = 64
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -122,31 +125,39 @@ def _factor(toks: _Tokens, ctx: Context) -> sp.Expr:
     return base
 
 
-def _exponent(toks: _Tokens) -> sp.Rational:
-    kind, text, offset = toks.peek()
-    if text == "(":
-        toks.next()
-        sign = 1
-        if toks.peek()[1] == "-":
-            toks.next()
-            sign = -1
-        kind, text, offset = toks.next()
-        if kind != "number" or "." in text:
-            raise ParseError("expected integer in exponent", offset)
-        num = int(text)
-        den = 1
-        if toks.peek()[1] == "/":
-            toks.next()
-            kind, text, offset = toks.next()
-            if kind != "number" or "." in text:
-                raise ParseError("expected integer denominator in exponent", offset)
-            den = int(text)
-        toks.expect(")")
-        return sp.Rational(sign * num, den)
+def _number(text: str, offset: int) -> sp.Rational:
+    try:
+        return sp.Rational(text) if "." in text else sp.Integer(int(text))
+    except (ValueError, TypeError):
+        # Python converts at most 4300 digits to an integer
+        raise ParseError(f"number of {len(text)} characters is too long", offset) from None
+
+
+def _exponent_part(toks: _Tokens, what: str) -> sp.Integer:
     kind, text, offset = toks.next()
     if kind != "number" or "." in text:
-        raise ParseError("expected integer or (p/q) exponent", offset)
-    return sp.Integer(int(text))
+        raise ParseError(f"expected {what}", offset)
+    value = _number(text, offset)
+    if value > MAX_EXPONENT:
+        raise ParseError(f"exponent {text} exceeds {MAX_EXPONENT}", offset)
+    return value
+
+
+def _exponent(toks: _Tokens) -> sp.Rational:
+    if toks.peek()[1] != "(":
+        return _exponent_part(toks, "integer or (p/q) exponent")
+    toks.next()
+    sign = 1
+    if toks.peek()[1] == "-":
+        toks.next()
+        sign = -1
+    num = _exponent_part(toks, "integer in exponent")
+    den = 1
+    if toks.peek()[1] == "/":
+        toks.next()
+        den = _exponent_part(toks, "integer denominator in exponent")
+    toks.expect(")")
+    return sp.Rational(sign * num, den)
 
 
 def _base(toks: _Tokens, ctx: Context) -> sp.Expr:
@@ -158,9 +169,7 @@ def _base(toks: _Tokens, ctx: Context) -> sp.Expr:
         toks.expect(")")
         return inner
     if kind == "number":
-        if "." in text:
-            return sp.Rational(text)
-        return sp.Integer(int(text))
+        return _number(text, offset)
     if kind == "ident":
         if text in FUNCTIONS:
             toks.expect("(")

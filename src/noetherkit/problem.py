@@ -13,6 +13,7 @@ import sympy as sp
 from .context import SYMBOLIC, Context, ContextError
 from .geometry import GeometryError, Metric
 from .lagrangian import ApproximateGenerator, GeneratorOrder, ModelError, PerturbedLagrangian
+from .normal import NonNormalizableError, clear_denominator, normalize
 from .parsing import ParseError, parse
 from .solver import AnsatzSpec, SolverError
 
@@ -22,7 +23,6 @@ class ProblemError(ValueError):
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.json_path = path
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class Simulation:
     initial: tuple[float, ...]
     t_end: float
     dt: float
-    t_start: float = 0.0
-    epsilons: tuple[float, ...] = ()
+    t_start: float
+    epsilons: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,14 @@ def load_problem(path) -> Problem:
     if type(order) is not int or order < 1:
         raise ProblemError("order", "must be an integer >= 1")
     g = _load_metric(doc, "metric", ctx, required=True)
+    # the Lagrangian must be regular: g + eps h is invertible for small eps
+    # exactly when g is; a det outside the normalizable class is not decided
+    try:
+        singular = normalize(clear_denominator(g.entries.det())[0]).is_zero
+    except NonNormalizableError:
+        singular = False
+    if singular:
+        raise ProblemError("metric", "singular: det g is identically zero")
     h = _load_metric(doc, "h", ctx, required=False)
     V0 = _parse_expr(doc.get("V0", "0"), ctx, "V0")
     V1 = _parse_expr(doc.get("V1", "0"), ctx, "V1")

@@ -5,10 +5,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 import noetherkit.cli
-from noetherkit import fixture_path
+from noetherkit import fixture_path, load_problem
 from noetherkit.cli import main
 
 
@@ -318,6 +319,47 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {json_path}: ")
         assert err.count("\n") == 1
+
+
+def oscillator_probe(tmp_path, path, value):
+    doc = json.loads(fixture_path("oscillator.json").read_text())
+    set_field(doc, path, value)
+    problem = tmp_path / "probe.json"
+    problem.write_text(json.dumps(doc))
+    return problem
+
+
+class TestBoundedInput:
+    """A singular metric, oversized numbers and exponents, and a step count
+    past the limit are input errors: exit 2 with one line on stderr."""
+
+    @pytest.mark.parametrize("command", ["verify", "integrals", "simulate"])
+    def test_singular_metric(self, tmp_path, capsys, command):
+        assert run(command, oscillator_probe(tmp_path, ("metric",), [["0"]])) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: metric: singular: det g is identically zero\n"
+
+    @pytest.mark.parametrize("source", ["1" * 5000 + "*x^2", "x^" + "9" * 5000,
+                                        "x^65", "x^(1/65)"],
+                             ids=["long-literal", "long-exponent", "x^65", "x^(1/65)"])
+    def test_parser_limits(self, tmp_path, capsys, source):
+        assert run("verify", oscillator_probe(tmp_path, ("V0",), source)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: V0: ")
+        assert err.count("\n") == 1
+
+    def test_largest_exponent_loads(self, tmp_path):
+        problem = load_problem(oscillator_probe(tmp_path, ("V0",), "x^64 + x^(-64/63)"))
+        x = problem.ctx.xs[0]
+        assert problem.L.V0 == x**64 + x ** sp.Rational(-64, 63)
+
+    # 628 / 1e-300 steps is finite and far past the limit; 628 / 1e-310 overflows
+    @pytest.mark.parametrize("dt", [1e-300, 1e-310], ids=["past-limit", "overflow"])
+    def test_step_count_bounded(self, tmp_path, capsys, dt):
+        assert run("simulate", oscillator_probe(tmp_path, ("simulation", "dt"), dt)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: (t_end - t_start) / dt = ")
+        assert err.endswith("steps exceeds the limit of 10000000 per epsilon\n")
 
 
 def set_field(doc, path, value):

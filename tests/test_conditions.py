@@ -4,6 +4,8 @@ import pytest
 from noetherkit import (
     ApproximateGenerator,
     GeneratorOrder,
+    Metric,
+    PerturbedLagrangian,
     build_conditions,
     fixture_path,
     load_problem,
@@ -52,6 +54,11 @@ class TestBuildConditions:
     def test_placeholders_unevaluated(self, inverse_square):
         system = build_conditions(inverse_square)
         assert any(eq.lhs.atoms(sp.Derivative) for eq in system.equations)
+
+    def test_metric_from_another_context(self, ctx1, inverse_square):
+        g = Metric.from_rows(ctx1, [["1"]])
+        with pytest.raises(ModelError, match="context"):
+            PerturbedLagrangian(inverse_square.ctx, g, inverse_square.h, 0, 0)
 
     def test_bind_requires_boundary(self, inverse_square):
         """A candidate is checked with its boundary terms, never without."""

@@ -184,3 +184,18 @@ class TestSymbolicDrift:
         comps = total_integral(L, Zt)
         drift = symbolic_drift(L, comps)
         assert drift.truncation_is_zero
+
+    def test_truncation_decided_with_callers_tol_and_seed(self, monkeypatch, henon_heiles):
+        import noetherkit.conservation as conservation
+        calls = []
+
+        def recording(e, tol=1e-10, seed=None):
+            calls.append((tol, seed))
+            return is_zero(e, tol, seed)
+
+        monkeypatch.setattr(conservation, "is_zero", recording)
+        Zt = gen("Zt", (1, 0), ((0, 0), (0, 0)), (0, 0))
+        comps = total_integral(henon_heiles, Zt, assume_verified=True)
+        drift = symbolic_drift(henon_heiles, comps, tol=1e-7, seed=5)
+        assert calls == [(1e-7, 5)]
+        assert drift.truncation_is_zero is True

@@ -159,6 +159,16 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             integrate(oscillator, [1.0, 0.0], 1.0, -0.1)
 
+    def test_step_count_bounded(self, monkeypatch, oscillator):
+        import noetherkit.dynamics as dynamics
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+        assert len(integrate(oscillator, [1.0, 0.0], 1.0, 0.1).times) == 11
+        with pytest.raises(IntegrationError, match="exceeds the limit of 10 per epsilon"):
+            integrate(oscillator, [1.0, 0.0], 1.0, 0.09)
+        # a span over dt that overflows to inf is refused the same way
+        with pytest.raises(IntegrationError, match="= inf steps"):
+            integrate(oscillator, [1.0, 0.0], 1e10, 1e-310)
+
     def test_bad_initial_length(self, oscillator):
         with pytest.raises(IntegrationError):
             integrate(oscillator, [1.0], 1.0, 0.1)

@@ -2,7 +2,7 @@ import sympy as sp
 import pytest
 
 from noetherkit import Context, ContextError, ParseError, UnknownIdentifierError, parse, print_expression
-from noetherkit.ops import VelocityError, total_time_derivative
+from noetherkit.conditions import VelocityError, total_time_derivative
 
 
 class TestContext:

@@ -1,0 +1,34 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import noetherkit
+
+PACKAGE = Path(noetherkit.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_detected():
+    assert unused_imports("import os\nfrom typing import Optional, Sequence\nSequence\n") == [
+        "os (line 1)", "Optional (line 2)"]
+
+
+def test_no_unused_imports():
+    found = [f"{path.name}: {name}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+             for name in unused_imports(path.read_text())]
+    assert found == []

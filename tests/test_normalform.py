@@ -31,20 +31,18 @@ class TestNormalize:
         assert form.coefficient(x * sp.sin(2 * t)) == sp.Rational(3, 2)
         assert form.coefficient(x) == 0
 
-    def test_strict_rejects_negative_powers(self):
-        with pytest.raises(NonNormalizableError):
-            normalize(1 / x, strict=True)
-        assert not normalize(1 / x, strict=False).is_zero
+    def test_negative_powers_are_atoms(self):
+        assert not normalize(1 / x).is_zero
 
     def test_log_atoms(self):
-        form = normalize(sp.log(t) * x - x * sp.log(t), strict=False)
+        form = normalize(sp.log(t) * x - x * sp.log(t))
         assert form.is_zero
 
     def test_non_polynomial_argument_rejected(self):
         with pytest.raises(NonNormalizableError):
             normalize(sp.sin(sp.sqrt(x)))
         with pytest.raises(NonNormalizableError):
-            normalize(sp.log(sp.sin(t)) * x, strict=False)
+            normalize(sp.log(sp.sin(t)) * x)
 
     def test_irrational_constant_rejected(self):
         with pytest.raises(NonNormalizableError):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import noetherkit.solver
 
 from noetherkit import (
-    AnsatzSpec, Context, contains, fixture_path, load_problem, solve, verify,
+    AnsatzSpec, Context, contains, fixture_path, load_problem, parse, solve, verify,
 )
 from noetherkit.conditions import IncompatibleError, candidate_residuals, recover_boundary_terms
 from noetherkit.normal import normalize
@@ -96,6 +96,21 @@ class TestAnsatzSpec:
         spec = AnsatzSpec((sp.sin(t) ** 2, sp.cos(t) ** 2, sp.Integer(1)))
         with pytest.raises(SolverError, match="independent"):
             spec.check_independent(t)
+
+    @pytest.mark.parametrize("basis", [
+        ("1", "t", "1 + t"), ("ln(t)", "ln(t^2)"), ("0",), ("t", "0"),
+    ])
+    def test_collocation_rejects_dependent(self, ctx1, basis):
+        t = ctx1.t
+        spec = AnsatzSpec(tuple(parse(b, ctx1) for b in basis))
+        with pytest.raises(SolverError, match="not independent"):
+            spec.check_independent(t)
+
+    @pytest.mark.parametrize("basis", [
+        ("1",), ("t^(-1)",), ("1", "t", "t^2", "ln(t)"), ("sin(t)", "cos(t)", "1"),
+    ])
+    def test_collocation_accepts_independent(self, ctx1, basis):
+        AnsatzSpec(tuple(parse(b, ctx1) for b in basis)).check_independent(ctx1.t)
 
     def test_shipped_eight_element_basis(self):
         problem = load_problem(fixture_path("case2_solver.json"))
@@ -246,7 +261,7 @@ def reference_matrix(ansatz):
         for col, u in enumerate(unknowns):
             coeff = numer.diff(u)
             if coeff != 0:
-                forms[col] = normalize(coeff, strict=False)
+                forms[col] = normalize(coeff)
         keys = sorted({k for form in forms.values() for k, _ in form.terms},
                       key=sp.default_sort_key)
         rows.extend(
