@@ -18,7 +18,7 @@ from typing import Sequence
 import sympy as sp
 
 from .context import Context
-from .geometry import lie_matrix, lie_scalar
+from .geometry import derivative_table, lie_matrix, lie_scalar
 from .lagrangian import ApproximateGenerator, ModelError, PerturbedLagrangian
 from .normal import DEFAULT_SEED, ZeroResult, is_zero
 
@@ -54,10 +54,12 @@ def residuals(L: PerturbedLagrangian, xi: Sequence, eta: Sequence[Sequence],
     eta_gamma) through (h, V1) and (g, V0).  Terms of order eps^{n+1} and
     beyond are discarded.  The components are expressions in (t, x) or
     applied function placeholders, whose derivatives stay unevaluated.
+    Each (expression, variable) pair is differentiated once per call.
     """
     ctx = L.ctx
     t, xs = ctx.t, ctx.xs
     n = ctx.dimension
+    d = derivative_table()
     eqs: list[Equation] = []
     for gamma in range(L.order + 1):
         # (kinetic matrix, potential, generator order) of each part of L at eps^gamma
@@ -65,14 +67,14 @@ def residuals(L: PerturbedLagrangian, xi: Sequence, eta: Sequence[Sequence],
         if gamma >= 1:
             parts.append((L.h.entries, L.V1, gamma - 1))
         metric = sp.zeros(n, n)
-        gradient = [-sp.diff(f[gamma], x) for x in xs]
-        potential = sp.diff(f[gamma], t)
+        gradient = [-d(f[gamma], x) for x in xs]
+        potential = d(f[gamma], t)
         for m, V, A in parts:
-            xi_t = sp.diff(xi[A], t)
-            metric += lie_matrix(m, eta[A], xs) - xi_t * m
+            xi_t = d(xi[A], t)
+            metric += lie_matrix(m, eta[A], xs, d) - xi_t * m
             for j in range(n):
-                gradient[j] += sp.Add(*(m[i, j] * sp.diff(eta[A][i], t) for i in range(n)))
-            potential += lie_scalar(V, eta[A], xs) + xi_t * V + xi[A] * sp.diff(V, t)
+                gradient[j] += sp.Add(*(m[i, j] * d(eta[A][i], t) for i in range(n)))
+            potential += lie_scalar(V, eta[A], xs, d) + xi_t * V + xi[A] * d(V, t)
         for i in range(n):
             for j in range(i, n):
                 eqs.append(Equation(gamma, KIND_METRIC, (i, j), metric[i, j]))
@@ -80,7 +82,7 @@ def residuals(L: PerturbedLagrangian, xi: Sequence, eta: Sequence[Sequence],
             eqs.append(Equation(gamma, KIND_GRADIENT, (j,), gradient[j]))
         eqs.append(Equation(gamma, KIND_POTENTIAL, (), potential))
         for k in range(n):
-            eqs.append(Equation(gamma, KIND_XI_CONSTANT, (k,), sp.diff(xi[gamma], xs[k])))
+            eqs.append(Equation(gamma, KIND_XI_CONSTANT, (k,), d(xi[gamma], xs[k])))
     return tuple(eqs)
 
 

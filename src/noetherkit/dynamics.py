@@ -16,6 +16,8 @@ from .lagrangian import PerturbedLagrangian
 
 # RK4 steps allowed per integration (one epsilon); checked before any allocation
 MAX_STEPS = 10**7
+# write_csv converts this many rows at a time to Python floats
+CSV_BLOCK_ROWS = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -258,7 +260,9 @@ def write_csv(
         for name in integrals:
             header.append(name)
             columns.append(evaluate_integral(L, integrals[name], traj))
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
+            block = (c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns)
+            fh.writelines(row % values for values in zip(*block))

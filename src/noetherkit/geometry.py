@@ -7,6 +7,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import sympy as sp
+from sympy.core.function import AppliedUndef
 
 from .context import Context
 from .normal import clear_denominator, is_zero
@@ -104,28 +105,50 @@ class HomotheticResult:
         return self.kind is not HomotheticKind.NOT_HOMOTHETIC
 
 
-def lie_matrix(m, Y, xs) -> sp.Matrix:
+def derivative_table():
+    """A memoised d(e, v): each (expression, variable) pair is differentiated once.
+
+    An applied function placeholder gets its unevaluated ``Derivative``
+    directly, without the chain rule ``sp.diff`` runs over its arguments.
+    """
+    table = {}
+
+    def d(e, v):
+        key = (e, v)
+        out = table.get(key)
+        if out is None:
+            out = sp.Derivative(e, v) if isinstance(e, AppliedUndef) else sp.diff(e, v)
+            table[key] = out
+        return out
+
+    return d
+
+
+def lie_matrix(m, Y, xs, d=None) -> sp.Matrix:
     """(L_Y m)_ij = Y^k m_ij,k + m_kj Y^k_,i + m_ik Y^k_,j, unexpanded.
 
     The components Y^k may depend on more than xs (the time, or function
-    placeholders, whose derivatives sp.diff leaves unevaluated).
+    placeholders, whose derivatives stay unevaluated).  Derivatives come from
+    the table ``d``, a fresh one by default.
     """
+    d = d or derivative_table()
     n = m.shape[0]
     out = sp.zeros(n, n)
     for i in range(n):
         for j in range(n):
             s = sp.Integer(0)
             for k in range(n):
-                s += Y[k] * sp.diff(m[i, j], xs[k])
-                s += m[k, j] * sp.diff(Y[k], xs[i])
-                s += m[i, k] * sp.diff(Y[k], xs[j])
+                s += Y[k] * d(m[i, j], xs[k])
+                s += m[k, j] * d(Y[k], xs[i])
+                s += m[i, k] * d(Y[k], xs[j])
             out[i, j] = s
     return out
 
 
-def lie_scalar(V, Y, xs) -> sp.Expr:
-    """Directional derivative Y^k V_,k."""
-    return sp.Add(*(Y[k] * sp.diff(V, xs[k]) for k in range(len(xs))))
+def lie_scalar(V, Y, xs, d=None) -> sp.Expr:
+    """Directional derivative Y^k V_,k, with derivatives from the table ``d``."""
+    d = d or derivative_table()
+    return sp.Add(*(Y[k] * d(V, xs[k]) for k in range(len(xs))))
 
 
 def lie_derivative_metric(g: Metric, Y: SpatialVectorField) -> sp.ImmutableMatrix:

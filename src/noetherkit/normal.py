@@ -15,11 +15,11 @@ zero test then falls back to seeded random sampling.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
 import sympy as sp
 from sympy.simplify.fu import TR8
 
@@ -170,10 +170,15 @@ def clear_denominator(e: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
     return sp.expand(numer), denom
 
 
-def sample_points(symbols, seed: int):
-    rng = np.random.default_rng(seed)
+def sample_points(symbols, seed: int) -> list[list[float]]:
+    """SAMPLE_COUNT points, uniform in SAMPLE_RANGE per coordinate.
+
+    Drawn from the standard library's generator: the first use of
+    numpy.random costs several MB of resident memory.
+    """
+    rng = random.Random(seed)
     lo, hi = SAMPLE_RANGE
-    return rng.uniform(lo, hi, size=(SAMPLE_COUNT, len(symbols)))
+    return [[rng.uniform(lo, hi) for _ in symbols] for _ in range(SAMPLE_COUNT)]
 
 
 def _eval_at(fn, values):
@@ -203,10 +208,10 @@ def _sampled_values(e: sp.Expr, seed: int):
     points = sample_points(symbols, seed)
     out = []
     for row in points:
-        for candidate in (row, np.abs(row) + 0.125):
+        for candidate in (row, [abs(c) + 0.125 for c in row]):
             term_vals = [_eval_at(fn, candidate) for fn in fns]
             if all(v is not None for v in term_vals):
-                point = {s: float(c) for s, c in zip(symbols, candidate)}
+                point = dict(zip(symbols, candidate))
                 out.append((point, sum(term_vals), max(abs(v) for v in term_vals) if term_vals else 0.0))
                 break
     return out

@@ -10,7 +10,9 @@ Grammar::
     exponent := integer | "(" ["-"] integer ["/" integer] ")"
 
 Numbers are decimals and are read exactly (no binary-float rounding).  Each
-exponent p or p/q is bounded by |p|, q <= 64.
+exponent p or p/q is bounded by |p|, q <= 64, and so is every exponent that
+sympy folds when it builds a power of a power or a product of powers.  A
+number, written or computed, has at most 4300 digits.
 Velocities are written with a "dot" suffix (e.g. ``xdot``); identifiers must
 be declared in the Context.  ``print_expression`` emits source that reparses
 to the same expression.
@@ -32,6 +34,9 @@ FUNCTIONS = {
 }
 
 MAX_EXPONENT = 64
+# Python converts at most 4300 digits between int and str
+MAX_DIGITS = 4300
+_NUMBER_BOUND = 10**MAX_DIGITS
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -98,18 +103,18 @@ def parse(source: str, ctx: Context) -> sp.Expr:
 def _expr(toks: _Tokens, ctx: Context) -> sp.Expr:
     result = _term(toks, ctx)
     while toks.peek()[1] in ("+", "-"):
-        op = toks.next()[1]
+        _, op, offset = toks.next()
         rhs = _term(toks, ctx)
-        result = result + rhs if op == "+" else result - rhs
+        result = _bounded(result + rhs if op == "+" else result - rhs, offset)
     return result
 
 
 def _term(toks: _Tokens, ctx: Context) -> sp.Expr:
     result = _factor(toks, ctx)
     while toks.peek()[1] in ("*", "/"):
-        op = toks.next()[1]
+        _, op, offset = toks.next()
         rhs = _factor(toks, ctx)
-        result = result * rhs if op == "*" else result / rhs
+        result = _bounded(result * rhs if op == "*" else result / rhs, offset)
     return result
 
 
@@ -120,16 +125,38 @@ def _factor(toks: _Tokens, ctx: Context) -> sp.Expr:
         return -_factor(toks, ctx)
     base = _base(toks, ctx)
     if toks.peek()[1] == "^":
-        toks.next()
-        return base ** _exponent(toks)
+        offset = toks.next()[2]
+        return _bounded(base ** _exponent(toks), offset)
     return base
+
+
+def _bounded(e: sp.Expr, offset: int) -> sp.Expr:
+    """Reject a folded power or a computed number beyond the literal bounds.
+
+    sympy folds (b^p)^q and b^p*b^q into one power, evaluates arithmetic on
+    numbers and distributes a number over a sum as it builds an expression,
+    all at the top level of the result; so the factors of each top-level
+    term are checked after every binary operator.
+    """
+    for term in sp.Add.make_args(e):
+        for factor in sp.Mul.make_args(term):
+            if factor.is_Rational:
+                if max(abs(factor.p), factor.q) >= _NUMBER_BOUND:
+                    raise ParseError(f"number of more than {MAX_DIGITS} digits", offset)
+            elif factor.is_Pow and factor.exp.is_Rational:
+                p, q = factor.exp.p, factor.exp.q
+                if abs(p) > MAX_EXPONENT or q > MAX_EXPONENT:
+                    raise ParseError(
+                        f"folded exponent {factor.exp} exceeds {MAX_EXPONENT}", offset
+                    )
+    return e
 
 
 def _number(text: str, offset: int) -> sp.Rational:
     try:
         return sp.Rational(text) if "." in text else sp.Integer(int(text))
     except (ValueError, TypeError):
-        # Python converts at most 4300 digits to an integer
+        # more than MAX_DIGITS digits
         raise ParseError(f"number of {len(text)} characters is too long", offset) from None
 
 

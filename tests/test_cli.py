@@ -353,6 +353,20 @@ class TestBoundedInput:
         x = problem.ctx.xs[0]
         assert problem.L.V0 == x**64 + x ** sp.Rational(-64, 63)
 
+    # sympy folds each of these into (x+1)^4096, (x+1)^128 and 2^262144
+    @pytest.mark.parametrize("source", ["((x+1)^64)^64", "(x+1)^64*(x+1)^64",
+                                        "((2^64)^64)^64*x^2"],
+                             ids=["nested-power", "power-product", "nested-number"])
+    def test_folded_powers_bounded(self, tmp_path, capsys, source):
+        assert run("derive", oscillator_probe(tmp_path, ("V1",), source)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: V1: ")
+        assert err.count("\n") == 1
+
+    def test_folded_power_within_bound_loads(self, tmp_path):
+        problem = load_problem(oscillator_probe(tmp_path, ("V1",), "((x+1)^8)^8"))
+        assert problem.L.V1 == (problem.ctx.xs[0] + 1) ** 64
+
     # 628 / 1e-300 steps is finite and far past the limit; 628 / 1e-310 overflows
     @pytest.mark.parametrize("dt", [1e-300, 1e-310], ids=["past-limit", "overflow"])
     def test_step_count_bounded(self, tmp_path, capsys, dt):

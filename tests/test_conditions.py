@@ -1,5 +1,6 @@
 import sympy as sp
 import pytest
+from sympy.core.function import AppliedUndef
 
 from noetherkit import (
     ApproximateGenerator,
@@ -95,6 +96,63 @@ def placeholder_route(L, X):
     return out
 
 
+def plain_diff_residuals(L, xi, eta, f):
+    """Reference: the determining equations with every derivative taken by sp.diff.
+
+    Written out term by term as conditions.residuals builds them, without its
+    derivative table.
+    """
+    ctx = L.ctx
+    t, xs = ctx.t, ctx.xs
+    n = ctx.dimension
+    eqs = []
+    for gamma in range(L.order + 1):
+        parts = [(L.g.entries, L.V0, gamma)]
+        if gamma >= 1:
+            parts.append((L.h.entries, L.V1, gamma - 1))
+        metric = sp.zeros(n, n)
+        gradient = [-sp.diff(f[gamma], x) for x in xs]
+        potential = sp.diff(f[gamma], t)
+        for m, V, A in parts:
+            xi_t = sp.diff(xi[A], t)
+            lie = sp.zeros(n, n)
+            for i in range(n):
+                for j in range(n):
+                    s = sp.Integer(0)
+                    for k in range(n):
+                        s += eta[A][k] * sp.diff(m[i, j], xs[k])
+                        s += m[k, j] * sp.diff(eta[A][k], xs[i])
+                        s += m[i, k] * sp.diff(eta[A][k], xs[j])
+                    lie[i, j] = s
+            metric += lie - xi_t * m
+            for j in range(n):
+                gradient[j] += sp.Add(*(m[i, j] * sp.diff(eta[A][i], t) for i in range(n)))
+            potential += (sp.Add(*(eta[A][k] * sp.diff(V, xs[k]) for k in range(n)))
+                          + xi_t * V + xi[A] * sp.diff(V, t))
+        eqs.extend((gamma, KIND_METRIC, (i, j), metric[i, j])
+                   for i in range(n) for j in range(i, n))
+        eqs.extend((gamma, KIND_GRADIENT, (j,), gradient[j]) for j in range(n))
+        eqs.append((gamma, KIND_POTENTIAL, (), potential))
+        eqs.extend((gamma, KIND_XI_CONSTANT, (k,), sp.diff(xi[gamma], xs[k]))
+                   for k in range(n))
+    return eqs
+
+
+def with_boundary_terms(L, X):
+    if X.boundary is not None:
+        return X
+    try:
+        return X.with_boundary(recover_boundary_terms(L, X))
+    except IncompatibleError:
+        return X.with_boundary([0] * (L.order + 1))
+
+
+def assert_same_equations(eqs, reference):
+    assert [(eq.order, eq.kind, eq.component) for eq in eqs] == [r[:3] for r in reference]
+    assert [eq.lhs for eq in eqs] == [r[3] for r in reference]
+    assert [str(eq.lhs) for eq in eqs] == [str(r[3]) for r in reference]
+
+
 class TestOneOperator:
     """Equations of a concrete generator equal the bound placeholder system."""
 
@@ -108,18 +166,68 @@ class TestOneOperator:
     def test_fixture_candidates(self, fixture):
         p = load_problem(fixture_path(fixture))
         for X in p.candidates:
-            if X.boundary is None:
-                try:
-                    X = X.with_boundary(recover_boundary_terms(p.L, X))
-                except IncompatibleError:
-                    X = X.with_boundary([0] * (p.L.order + 1))
-            self.check(p.L, X)
+            self.check(p.L, with_boundary_terms(p.L, X))
+
+    @pytest.mark.parametrize("fixture", ALL_FIXTURES)
+    def test_placeholder_system_matches_plain_diff(self, fixture):
+        L = load_problem(fixture_path(fixture)).L
+        ctx = L.ctx
+        args = (ctx.t, *ctx.xs)
+        orders = range(L.order + 1)
+        xi = [sp.Function(f"xi{A}")(*args) for A in orders]
+        eta = [[sp.Function(f"eta{A}_{i}")(*args) for i in range(ctx.dimension)]
+               for A in orders]
+        f = [sp.Function(f"f{A}")(*args) for A in orders]
+        assert_same_equations(build_conditions(L).equations,
+                              plain_diff_residuals(L, xi, eta, f))
+
+    @pytest.mark.parametrize("fixture", ALL_FIXTURES)
+    def test_candidates_match_plain_diff(self, fixture):
+        p = load_problem(fixture_path(fixture))
+        params = p.ctx.numeric_bindings()
+        for X in p.candidates:
+            X = with_boundary_terms(p.L, X)
+            reference = plain_diff_residuals(p.L, [o.xi for o in X.orders],
+                                             [o.eta for o in X.orders], X.boundary)
+            if params:
+                reference = [(*r[:3], r[3].subs(params)) for r in reference]
+            assert_same_equations(candidate_residuals(p.L, X), reference)
 
     @pytest.mark.parametrize("fixture", ["free_particle.json", "case2_solver.json", "case5.json"])
     def test_solver_template(self, fixture):
         p = load_problem(fixture_path(fixture))
         ansatz = instantiate(p.L, p.ansatz)
         self.check(p.L, _generator(ansatz, "ansatz", ansatz.unknowns))
+
+
+class TestDerivativeTable:
+    """One residuals call differentiates each (expression, variable) pair once."""
+
+    @pytest.mark.parametrize("fixture", ["ndim.json", "case1_order2.json"])
+    def test_each_pair_differentiated_once(self, fixture, monkeypatch):
+        p = load_problem(fixture_path(fixture))
+        candidates = [with_boundary_terms(p.L, X) for X in p.candidates]
+        calls = {"diff": [], "Derivative": []}
+
+        def spy(name, original):
+            def wrapped(e, *variables, **kwargs):
+                calls[name].append((e, variables))
+                return original(e, *variables, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(sp, "diff", spy("diff", sp.diff))
+        monkeypatch.setattr(sp, "Derivative", spy("Derivative", sp.Derivative))
+        runs = [lambda: build_conditions(p.L)]
+        runs += [lambda X=X: candidate_residuals(p.L, X) for X in candidates]
+        for k, run in enumerate(runs):
+            for log in calls.values():
+                log.clear()
+            run()
+            pairs = calls["diff"] + calls["Derivative"]
+            assert pairs and len(pairs) == len(set(pairs))
+            # placeholders get their Derivative directly, never sp.diff's chain rule
+            assert not any(isinstance(e, AppliedUndef) for e, _ in calls["diff"])
+            assert bool(calls["Derivative"]) == (k == 0)
 
 
 class TestVerifyInverseSquare:

@@ -14,9 +14,11 @@ from noetherkit import (
     hamiltonian,
     total_integral,
 )
+from noetherkit import dynamics
 from noetherkit.conservation import EPSILON, FirstIntegral, accelerations
 from noetherkit.dynamics import (
     IntegrationError,
+    Trajectory,
     drift,
     evaluate_integral,
     fit_slope,
@@ -160,7 +162,6 @@ class TestIntegrate:
             integrate(oscillator, [1.0, 0.0], 1.0, -0.1)
 
     def test_step_count_bounded(self, monkeypatch, oscillator):
-        import noetherkit.dynamics as dynamics
         monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
         assert len(integrate(oscillator, [1.0, 0.0], 1.0, 0.1).times) == 11
         with pytest.raises(IntegrationError, match="exceeds the limit of 10 per epsilon"):
@@ -313,6 +314,19 @@ class TestCsv:
             assert fields[0] == t
             assert fields[1] == state[0]
             assert fields[2] == state[1]
+
+    def test_rows_match_per_value_format(self, oscillator, tmp_path, monkeypatch):
+        """Byte-identical to formatting each value with f"{v:.17g}", across
+        block boundaries and for signed zeros, subnormals and large values."""
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_ROWS", 3)
+        times = np.array([0.0, -0.0, 1 / 3, 5e-324, 1e22, 2.5, 1e-7])
+        states = np.column_stack([times[::-1] * 7, -times / 3])
+        traj = Trajectory(times, states, 0.1)
+        path = tmp_path / "traj.csv"
+        write_csv(path, oscillator, traj)
+        expected = "t,x1,v1\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(times, *states.T))
+        assert path.read_text() == expected
 
     def test_two_dimensional_header(self, henon_heiles, tmp_path):
         traj = integrate(henon_heiles, [0.1, 0.1, 0.0, 0.0], 1.0, 0.5, epsilon=0.01)

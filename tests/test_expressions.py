@@ -69,6 +69,29 @@ class TestParse:
             parse("x + (y", ctx1)
         assert err.value.offset >= 4
 
+    # each comment gives what sympy builds at that offset
+    @pytest.mark.parametrize("source, offset", [
+        ("((x+1)^64)^64", 10),  # (x+1)^4096
+        ("(x+1)^64/(x+1)^(-64)", 8),  # (x+1)^128
+        ("x^64*x", 4),  # x^65
+        ("(x^(1/64))^(1/64)", 10),  # x^(1/4096)
+        ("(((2^64)^64)^64)^64", 12),  # 2^262144, 78914 digits
+        ("(2^64)^64*(2^64)^64*(2^64)^64*(2^64)^64", 29),  # 2^16384, 4933 digits
+        ("(2^64)^64*((2^64)^64*((2^64)^64*((2^64)^64*x+1)))", 9),  # 2^16384*x + 2^12288
+        ("9" * 4300 + "+1", 4300),  # 10^4300, 4301 digits
+    ])
+    def test_folded_results_bounded(self, ctx1, source, offset):
+        """Checked at the operator whose result sympy folds past a bound."""
+        with pytest.raises(ParseError) as err:
+            parse(source, ctx1)
+        assert err.value.offset == offset
+
+    def test_folded_results_within_bounds(self, ctx1):
+        x = ctx1.xs[0]
+        assert parse("((x+1)^8)^8", ctx1) == (x + 1) ** 64
+        assert parse("x^32*x^32", ctx1) == x**64
+        assert parse("(2^64)^64", ctx1) == sp.Integer(2) ** 4096
+
 
 class TestPrint:
     CASES = [

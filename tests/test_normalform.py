@@ -1,10 +1,19 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import sympy as sp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import noetherkit
 from noetherkit import ZeroStatus, is_zero, normalize
 from noetherkit.normal import (
     DEFAULT_SEED,
+    SAMPLE_COUNT,
+    SAMPLE_RANGE,
     NonNormalizableError,
     clear_denominator,
     sample_points,
@@ -103,13 +112,50 @@ class TestIsZero:
         assert a == b
 
 
+# runs one command in a fresh interpreter and reports the modules it loaded
+VERIFY_SCRIPT = """
+import json, sys
+from noetherkit.cli import main
+code = main(["verify", sys.argv[1], "--report", sys.argv[2]])
+print(json.dumps({"code": code, "numpy_random": "numpy.random" in sys.modules}))
+"""
+
+
 class TestSampling:
     def test_points_deterministic(self):
         p1 = sample_points([x, t], DEFAULT_SEED)
         p2 = sample_points([x, t], DEFAULT_SEED)
-        assert (p1 == p2).all()
-        assert p1.shape == (64, 2)
-        assert (p1 >= -2).all() and (p1 <= 2).all()
+        assert p1 == p2
+        assert len(p1) == SAMPLE_COUNT and all(len(row) == 2 for row in p1)
+        lo, hi = SAMPLE_RANGE
+        assert all(lo <= v <= hi for row in p1 for v in row)
+        assert sample_points([x, t], DEFAULT_SEED + 1) != p1
+
+    def test_verify_leaves_numpy_random_unloaded(self, tmp_path):
+        """A failing verify samples its witness without importing numpy.random.
+
+        Run in a subprocess: other tests load numpy.random into this one.
+        """
+        problem = tmp_path / "bad.json"
+        problem.write_text(json.dumps({
+            "coordinates": ["x"], "metric": [["1"]], "V0": "x^2/2", "V1": "0",
+            # xi_0 = t breaks the order-0 metric condition
+            "candidates": [{"name": "bad", "xi": ["t", "0"], "eta": [["0"], ["0"]],
+                            "f": ["0", "0"]}],
+        }))
+        report_path = tmp_path / "report.json"
+        package_root = str(Path(noetherkit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", VERIFY_SCRIPT, str(problem), str(report_path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"code": 1, "numpy_random": False}
+        equations = json.loads(report_path.read_text())["verdicts"][0]["equations"]
+        nonzero = [eq for eq in equations if eq["status"] == "nonzero"]
+        assert nonzero and all("witness" in eq and "witness_value" in eq for eq in nonzero)
 
 
 coeffs = st.integers(min_value=-4, max_value=4)
