@@ -22,7 +22,7 @@ from .conditions import (
 )
 from .conservation import NumericOnly, total_integral
 from .dynamics import IntegrationError, drift, fit_slope, integrate, write_csv
-from .geometry import UnsupportedMetricError, solve_homothetic
+from .geometry import GeometryError, UnsupportedMetricError, solve_homothetic
 from .normal import DEFAULT_SEED, NonNormalizableError
 from .parsing import print_expression
 from .problem import Problem, ProblemError, load_problem
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (SolverError, IntegrationError) as exc:
+    except (SolverError, IntegrationError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = {"command": args.command, "problem": str(args.problem),

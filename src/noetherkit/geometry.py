@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import sympy as sp
 from sympy.core.function import AppliedUndef
+from sympy.polys.domains import QQ
+from sympy.polys.matrices.sdm import SDM
 
 from .context import Context
 from .normal import clear_denominator, is_zero
@@ -206,8 +209,15 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
     n = ctx.dimension
     xs = ctx.xs
     # imported here: the solver imports this module through lagrangian
-    from .solver import _spatial_monomials, linear_rows, rational_nullspace
+    from .solver import MAX_UNKNOWNS, _spatial_monomials, linear_rows, rational_nullspace
 
+    # C(n + degree, n) monomials of total degree <= degree, counted before any is built
+    count = n * math.comb(n + degree, n) + 1
+    if count > MAX_UNKNOWNS:
+        raise GeometryError(
+            f"ansatz sizing: {count} unknowns exceeds the {MAX_UNKNOWNS} limit "
+            f"({n} components x C({n} + {degree}, {n}) monomials + psi)"
+        )
     mons = _spatial_monomials(xs, degree)
     unknowns = []
     comps = []
@@ -223,15 +233,18 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
     index = {u: col for col, u in enumerate(unknowns)}
 
     def monomial_coefficients(coeff):
-        return [(m, sp.Rational(c)) for m, c in sp.Poly(coeff, *xs).terms()]
+        terms = sp.Poly(coeff, *xs).terms()
+        if not all(c.is_Rational for _, c in terms):
+            raise UnsupportedMetricError(f"metric coefficient not rational in {coeff}")
+        return terms
 
-    Y = SpatialVectorField(ctx, tuple(comps))
-    lie = lie_derivative_metric(g, Y)
+    # parameters bound to numbers enter as their values, as in the determining equations
+    bound = g.entries.subs(ctx.numeric_bindings())
+    lie = lie_matrix(bound, comps, xs)
     rows = []
     for i in range(n):
         for j in range(i, n):
-            eq = lie[i, j] - 2 * psi * g.entries[i, j]
-            numer, _ = clear_denominator(eq)
+            numer, _ = clear_denominator(lie[i, j] - 2 * psi * bound[i, j])
             if not numer.is_polynomial(*xs):
                 raise UnsupportedMetricError(
                     f"metric entry ({i},{j}) is not polynomial after clearing denominators"
@@ -239,7 +252,8 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
             rows.extend(linear_rows(numer, index, monomial_coefficients))
     results = []
     # the row-reduced basis is canonical, so the output is deterministic
-    for vec in rational_nullspace(rows, len(unknowns)):
+    matrix = SDM(dict(enumerate(rows)), (len(rows), len(unknowns)), QQ)
+    for vec in rational_nullspace(matrix):
         field = SpatialVectorField(
             ctx,
             tuple(
@@ -247,7 +261,7 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
                 for i in range(n)
             ),
         )
-        psi_val = vec[-1]
+        psi_val = QQ.to_sympy(vec[-1])
         kind = HomotheticKind.KILLING if psi_val == 0 else HomotheticKind.HOMOTHETIC
         results.append(HomotheticResult(field, psi_val, kind))
     results.sort(key=lambda r: 0 if r.kind is HomotheticKind.KILLING else 1)

@@ -47,12 +47,6 @@ class NormalForm:
     def to_expression(self) -> sp.Expr:
         return sp.Add(*(c * k for k, c in self.terms))
 
-    def coefficient(self, key: sp.Expr) -> sp.Rational:
-        for k, c in self.terms:
-            if k == key:
-                return c
-        return sp.Integer(0)
-
 
 class ZeroStatus(Enum):
     ZERO = "zero"

@@ -5,7 +5,7 @@ spatial monomials, so the ansatz is a coefficient table: one unknown per
 (slot, basis function) pair.  Binding the ansatz into the determining
 equations gives expressions linear and homogeneous in the unknowns; one pass
 over the terms of each cleared numerator collects them over independent
-atoms into a matrix with exact rational entries.  Its nullspace over QQ,
+atoms into sparse rows over QQ, one row per atom.  Their nullspace over QQ,
 with pure-gauge directions (constant boundary terms) quotiented out, is the
 solution basis.
 """
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
-from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.sdm import SDM
 
 from .conditions import candidate_residuals, verify
 from .lagrangian import ApproximateGenerator, GeneratorOrder, PerturbedLagrangian
@@ -112,11 +112,12 @@ class Ansatz:
 
     @cached_property
     def slots(self) -> dict[tuple[str, int, int],
-                            tuple[tuple[int, ...], Optional[tuple[NormalForm, ...]]]]:
-        """Per slot, its columns and the normal forms of their functions.
+                            tuple[tuple[int, ...], Optional[tuple[dict, ...]]]]:
+        """Per slot, its columns and the sparse QQ coefficients of their functions.
 
-        Normalized once per ansatz, on the first membership test; the forms
-        are None when a function of the slot is outside the normalizable class.
+        Normalized once per ansatz, on the first membership test; the
+        coefficients are None when a function of the slot is outside the
+        normalizable class.
         """
         cols_of: dict[tuple[str, int, int], list[int]] = {}
         for col, column in enumerate(self.columns):
@@ -124,7 +125,8 @@ class Ansatz:
         out = {}
         for slot, cols in cols_of.items():
             try:
-                forms = tuple(normalize(sp.expand(self.columns[c].fn)) for c in cols)
+                forms = tuple(_coefficients(normalize(sp.expand(self.columns[c].fn)))
+                              for c in cols)
             except NonNormalizableError:
                 forms = None
             out[slot] = (tuple(cols), forms)
@@ -134,7 +136,7 @@ class Ansatz:
 @dataclass(frozen=True)
 class LinearSystem:
     ansatz: Ansatz
-    matrix: sp.ImmutableMatrix
+    matrix: SDM
 
 
 @dataclass(frozen=True)
@@ -142,9 +144,9 @@ class SolutionBasis:
     generators: tuple[ApproximateGenerator, ...]
     nullspace_dim: int
     gauge_note: str
-    # non-gauge coefficient vectors, aligned with generators; used for the
-    # span-membership test
-    vectors: tuple[tuple[sp.Rational, ...], ...]
+    # non-gauge coefficient vectors over QQ, dense, aligned with generators;
+    # used for the span-membership test
+    vectors: tuple[tuple, ...]
     ansatz: Ansatz
 
 
@@ -161,50 +163,35 @@ def _spatial_monomials(xs, degree: int, extra=()):
 
 
 # -- exact kernel over QQ -------------------------------------------------
+# A linear system is a list of sparse rows {column: QQ}; each coefficient is
+# converted to QQ once, where it is collected.
 
 
-def _rref(rows: Sequence[Sequence], ncols: int):
-    """Reduced row echelon form over QQ: (nonzero rows, pivot columns)."""
-    entries = {}
-    for i, row in enumerate(rows):
-        nonzero = {j: v if isinstance(v, QQ.dtype) else QQ(int(v.p), int(v.q))
-                   for j, v in enumerate(row) if v}
-        if nonzero:
-            entries[i] = nonzero
-    M = DomainMatrix(entries, (len(rows), ncols), QQ)
-    R, pivots = M.rref()
-    return R.to_list()[: len(pivots)], pivots
+def rational_nullspace(matrix: SDM) -> list[tuple]:
+    """The canonical (row-reduced) basis of {v : matrix . v = 0}, as dense QQ tuples."""
+    R, pivots = matrix.nullspace()[0].rref()
+    return [tuple(row) for row in R.to_list()[: len(pivots)]]
 
 
-def rational_nullspace(rows: Sequence[Sequence], ncols: int) -> list[tuple[sp.Rational, ...]]:
-    """The canonical (row-reduced) basis of {v : rows . v = 0}."""
-    R, pivots = _rref(rows, ncols)
-    null = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = [QQ.zero] * ncols
-        vec[free] = QQ.one
-        for row, p in zip(R, pivots):
-            vec[p] = -row[free]
-        null.append(vec)
-    basis, _ = _rref(null, ncols)
-    return [tuple(QQ.to_sympy(v) for v in row) for row in basis]
+def rational_solve(columns: Sequence[dict], target: dict):
+    """Sparse rational x with sum_k x_k columns[k] == target (free x_k = 0), or None.
 
-
-def rational_solve(columns: Sequence[Sequence], target: Sequence):
-    """Rational x with sum_k x_k columns[k] == target (free x_k = 0), or None."""
+    The columns and the target are sparse too, {row key: QQ}.
+    """
     n = len(columns)
-    rows = [[col[i] for col in columns] + [y] for i, y in enumerate(target)]
-    R, pivots = _rref(rows, n + 1)
+    rows: dict = {}
+    for k, col in enumerate((*columns, target)):
+        for key, v in col.items():
+            rows.setdefault(key, {})[k] = v
+    R, pivots = SDM(dict(enumerate(rows.values())), (len(rows), n + 1), QQ).rref()
     if n in pivots:
         return None
-    x = [sp.Integer(0)] * n
-    for row, p in zip(R, pivots):
-        x[p] = QQ.to_sympy(row[n])
-    return x
+    return {p: R[i][n] for i, p in enumerate(pivots) if n in R[i]}
 
 
-def linear_rows(numer: sp.Expr, index: dict, split: Callable[[sp.Expr], Iterable]):
-    """Coefficient rows of an expanded form linear and homogeneous in the unknowns.
+def linear_rows(numer: sp.Expr, index: dict,
+                split: Callable[[sp.Expr], Iterable]) -> list[dict]:
+    """Sparse coefficient rows of an expanded form linear and homogeneous in the unknowns.
 
     One pass over the terms: each holds exactly one unknown (``index`` maps it
     to its column), and the remainders are grouped by unknown.  ``split``
@@ -217,13 +204,11 @@ def linear_rows(numer: sp.Expr, index: dict, split: Callable[[sp.Expr], Iterable
         if len(cols) != 1:
             raise SolverError(f"internal: term {term} is not linear in the unknowns")
         groups.setdefault(cols[0], []).append(sp.Mul(*(f for f in factors if f not in index)))
-    forms = {col: dict(split(sp.Add(*parts))) for col, parts in groups.items()}
-    keys = sorted({k for form in forms.values() for k in form}, key=sp.default_sort_key)
-    zero = sp.Integer(0)
-    return [
-        [forms[col].get(key, zero) if col in forms else zero for col in range(len(index))]
-        for key in keys
-    ]
+    rows: dict[sp.Expr, dict] = {}
+    for col, parts in groups.items():
+        for key, c in split(sp.Add(*parts)):
+            rows.setdefault(key, {})[col] = QQ.from_sympy(c)
+    return [rows[key] for key in sorted(rows, key=sp.default_sort_key)]
 
 
 # -- the pipeline ---------------------------------------------------------
@@ -311,7 +296,7 @@ def reduce(ansatz: Ansatz) -> LinearSystem:
     """
     unknowns = ansatz.unknowns
     index = {u: col for col, u in enumerate(unknowns)}
-    rows: list[list[sp.Rational]] = []
+    rows: list[dict] = []
     for eq in candidate_residuals(ansatz.L, _generator(ansatz, "ansatz", unknowns)):
         numer, _ = sp.fraction(sp.together(eq.lhs))
         try:
@@ -320,8 +305,7 @@ def reduce(ansatz: Ansatz) -> LinearSystem:
             raise UnsupportedEquationError(
                 f"order {eq.order} {eq.kind} {eq.component}: {exc}"
             ) from exc
-    matrix = sp.ImmutableMatrix(rows) if rows else sp.ImmutableMatrix(0, len(unknowns), [])
-    return LinearSystem(ansatz, matrix)
+    return LinearSystem(ansatz, SDM(dict(enumerate(rows)), (len(rows), len(unknowns)), QQ))
 
 
 def nullspace(system: LinearSystem, tol: float = 1e-10,
@@ -334,11 +318,11 @@ def nullspace(system: LinearSystem, tol: float = 1e-10,
     components.
     """
     ansatz = system.ansatz
-    null = rational_nullspace(system.matrix.tolist(), len(ansatz.unknowns))
+    null = rational_nullspace(system.matrix)
     if not null:
         return SolutionBasis((), 0, "no solutions", (), ansatz)
     n_gauge = len(ansatz.gauge_unknowns)
-    kept = [vec for vec in null if any(v != 0 for v in vec[n_gauge:])]
+    kept = [vec for vec in null if any(vec[n_gauge:])]
     dropped = len(null) - len(kept)
 
     def sort_key(pair):
@@ -366,17 +350,18 @@ def solve(L: PerturbedLagrangian, spec: AnsatzSpec, tol: float = 1e-10,
 # -- span membership ------------------------------------------------------
 
 
-def _coordinates(expr: sp.Expr, forms: Sequence[NormalForm]):
-    """Rational coordinates of expr in the span of the normal forms, or None."""
+def _coefficients(form: NormalForm) -> dict:
+    """The coefficients of a normal form over QQ, keyed by atom product."""
+    return {k: QQ.from_sympy(c) for k, c in form.terms}
+
+
+def _coordinates(expr: sp.Expr, columns: Sequence[dict]):
+    """Sparse rational coordinates of expr in the span of the sparse columns, or None."""
     try:
         target = normalize(sp.expand(sp.sympify(expr)))
     except NonNormalizableError:
         return None
-    keys = list(dict.fromkeys(k for form in (*forms, target) for k, _ in form.terms))
-    return rational_solve(
-        [[form.coefficient(k) for k in keys] for form in forms],
-        [target.coefficient(k) for k in keys],
-    )
+    return rational_solve(columns, _coefficients(target))
 
 
 def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
@@ -396,7 +381,7 @@ def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
     ansatz = basis.ansatz
     X.check_shape(ansatz.L)
     free_f = X.boundary is None
-    vec = [sp.Integer(0)] * len(ansatz.unknowns)
+    vec = {}
     for (kind, A, i), (cols, forms) in ansatz.slots.items():
         if kind == "f":
             if free_f:
@@ -407,12 +392,12 @@ def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
         coords = None if forms is None else _coordinates(target, forms)
         if coords is None:
             return False
-        for c, value in zip(cols, coords):
-            vec[c] = value
+        vec.update((cols[k], v) for k, v in coords.items())
     # the solution vectors vanish on the gauge columns, so those are skipped
     compared = [c for c, column in enumerate(ansatz.columns)
                 if c >= len(ansatz.gauge_unknowns)
                 and not (free_f and column.slot[0] == "f")]
     return rational_solve(
-        [[v[c] for c in compared] for v in basis.vectors], [vec[c] for c in compared]
+        [{c: v[c] for c in compared if v[c]} for v in basis.vectors],
+        {c: vec[c] for c in compared if c in vec},
     ) is not None

@@ -274,6 +274,42 @@ class TestKilling:
         assert len(fields) == 7  # 6 Killing + 1 homothety
         assert [f["kind"] for f in fields].count("killing") == 6
 
+    def metric_problem(self, tmp_path, metric, parameters=None):
+        doc = {"coordinates": ["x", "y"], "metric": metric, "V0": "0", "V1": "0"}
+        if parameters is not None:
+            doc["parameters"] = parameters
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_bound_parameter_enters_as_its_value(self, tmp_path):
+        code, bound = run_report(tmp_path, "killing", self.metric_problem(
+            tmp_path, [["k"], ["0", "1"]], {"k": 2}), name="bound.json")
+        assert code == 0
+        code, literal = run_report(tmp_path, "killing", self.metric_problem(
+            tmp_path, [["2"], ["0", "1"]]), name="literal.json")
+        assert code == 0
+        assert bound["homothetic_basis"] == literal["homothetic_basis"]
+
+    def test_symbolic_parameter_unsupported(self, tmp_path, capsys):
+        path = self.metric_problem(tmp_path, [["k"], ["0", "1"]], {"k": "symbolic"})
+        assert run("killing", path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("unsupported: metric coefficient ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_degree_below_one(self, capsys, degree):
+        assert run("killing", fixture_path("ndim.json"), "--degree", degree) == 2
+        assert capsys.readouterr().err == "error: ansatz degree must be >= 1\n"
+
+    def test_ansatz_sizing(self, capsys, monkeypatch):
+        # 3 components x C(3 + 2, 3) monomials + psi = 31 unknowns
+        monkeypatch.setattr(noetherkit.solver, "MAX_UNKNOWNS", 30)
+        assert run("killing", fixture_path("ndim.json"), "--degree", 2) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: ansatz sizing: 31 unknowns exceeds the 30 limit")
+
 
 # each a non-finite constant or a value of the wrong JSON type, at its JSON path
 LOAD_PROBES = [

@@ -2,6 +2,7 @@ import numpy as np
 import sympy as sp
 import pytest
 
+import noetherkit.solver
 from noetherkit import (
     Context,
     HomotheticKind,
@@ -148,3 +149,16 @@ class TestSolveHomothetic:
     def test_bad_degree(self, ctx2):
         with pytest.raises(GeometryError):
             solve_homothetic(euclidean(ctx2), degree=0)
+
+    def test_sizing_checked_before_any_monomial(self, ctx2, monkeypatch):
+        def no_monomials(*args):
+            raise AssertionError("monomials built for an oversized ansatz")
+
+        monkeypatch.setattr(noetherkit.solver, "_spatial_monomials", no_monomials)
+        monkeypatch.setattr(noetherkit.solver, "MAX_UNKNOWNS", 20)
+        # 2 components x C(2 + 3, 2) monomials + psi = 21 unknowns
+        with pytest.raises(GeometryError, match="21 unknowns exceeds the 20 limit"):
+            solve_homothetic(euclidean(ctx2), degree=3)
+        # a huge degree is rejected from the closed-form count alone
+        with pytest.raises(GeometryError, match="sizing"):
+            solve_homothetic(euclidean(ctx2), degree=10**9)

@@ -2,6 +2,9 @@ import sympy as sp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sympy.polys.domains import QQ
+from sympy.polys.matrices.sdm import SDM
+
 import noetherkit.solver
 
 from noetherkit import (
@@ -14,6 +17,8 @@ from noetherkit.solver import (
     SolverError,
     instantiate,
     nullspace,
+    rational_nullspace,
+    rational_solve,
     reduce,
 )
 from noetherkit.lagrangian import ApproximateGenerator, GeneratorOrder
@@ -235,6 +240,62 @@ class TestEmptySpan:
         assert not contains(basis, gen("Zt", (1, 0), (0, 0), (0, 0)))
 
 
+@st.composite
+def sparse_rational_matrices(draw):
+    """A dense list of rows, mostly zeros, up to 8 x 10; zero rows and no rows included."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 10))
+    rows = [[QQ.zero] * ncols for _ in range(nrows)]
+    if nrows:
+        entries = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1),
+                            st.fractions(-4, 4, max_denominator=5))
+        for i, j, v in draw(st.lists(entries, max_size=20)):
+            rows[i][j] = QQ(v.numerator, v.denominator)
+    return rows, ncols
+
+
+def reference_rref(rows):
+    """The nonzero rows of sympy's dense rref, or [] for no rows."""
+    if not rows:
+        return []
+    R, pivots = sp.Matrix(rows).rref()
+    return R[: len(pivots), :].tolist()
+
+
+class TestExactKernel:
+    """The sparse QQ kernel against dense sympy Matrix arithmetic."""
+
+    @given(sparse_rational_matrices())
+    @settings(max_examples=25, deadline=2000)
+    def test_nullspace(self, matrix):
+        rows, ncols = matrix
+        null = rational_nullspace(SDM.from_list(rows, (len(rows), ncols), QQ))
+        ref = sp.Matrix(len(rows), ncols, [QQ.to_sympy(v) for row in rows for v in row])
+        expected = reference_rref([list(v) for v in ref.nullspace()])
+        assert [[QQ.to_sympy(v) for v in vec] for vec in null] == expected
+
+    @given(sparse_rational_matrices(), st.booleans(), st.data())
+    @settings(max_examples=25, deadline=2000)
+    def test_solve(self, matrix, consistent, data):
+        rows, ncols = matrix
+        A = sp.Matrix(len(rows), ncols, [QQ.to_sympy(v) for row in rows for v in row])
+
+        def vector(size):
+            values = data.draw(st.lists(st.fractions(-4, 4, max_denominator=5),
+                                        min_size=size, max_size=size))
+            return sp.Matrix(size, 1, [sp.Rational(f.numerator, f.denominator) for f in values])
+
+        # a consistent target is a combination of the columns
+        b = A * vector(ncols) if consistent else vector(len(rows))
+        columns = [{i: rows[i][k] for i in range(len(rows)) if rows[i][k]}
+                   for k in range(ncols)]
+        x = rational_solve(columns, {i: QQ.from_sympy(v) for i, v in enumerate(b) if v})
+        if x is None:
+            assert A.row_join(b).rank() > A.rank()
+        else:
+            dense = [QQ.to_sympy(x.get(k, QQ.zero)) for k in range(ncols)]
+            assert A * sp.Matrix(ncols, 1, dense) == b
+
+
 def from_table(ansatz, vec, name="T"):
     """The generator sum_c vec_c * fn_c, assembled from the coefficient table."""
     comp = {}
@@ -265,7 +326,8 @@ def reference_matrix(ansatz):
         keys = sorted({k for form in forms.values() for k, _ in form.terms},
                       key=sp.default_sort_key)
         rows.extend(
-            [forms[col].coefficient(k) if col in forms else 0 for col in range(len(unknowns))]
+            [dict(forms[col].terms).get(k, 0) if col in forms else 0
+             for col in range(len(unknowns))]
             for k in keys
         )
     return sp.Matrix(rows)
@@ -274,7 +336,7 @@ def reference_matrix(ansatz):
 class TestOnePassAssembly:
     def check(self, L, spec):
         ansatz = instantiate(L, spec)
-        fast = sp.Matrix(reduce(ansatz).matrix)
+        fast = sp.Matrix(reduce(ansatz).matrix.to_list())
         slow = reference_matrix(ansatz)
         assert fast.shape == slow.shape
         assert fast.rref()[0] == slow.rref()[0]
