@@ -34,11 +34,25 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
 
+class OutputTooLarge(Exception):
+    """A result holds a number longer than Python converts to a string."""
+
+
+def _sstr(expr) -> str:
+    try:
+        return sp.sstr(expr)
+    except ValueError as exc:
+        raise OutputTooLarge(
+            f"result has a number of more than {sys.get_int_max_str_digits()} digits, "
+            "too long to print"
+        ) from exc
+
+
 def _pretty(expr) -> str:
     try:
         return print_expression(expr)
     except ValueError:
-        return sp.sstr(expr)
+        return _sstr(expr)
 
 
 def _select_candidates(problem: Problem, name):
@@ -87,13 +101,14 @@ def cmd_derive(problem: Problem, args) -> tuple[dict, int]:
     system = build_conditions(problem.L)
     equations = []
     for eq in system.equations:
+        lhs = _sstr(eq.lhs)
         equations.append({
             "order": eq.order,
             "kind": eq.kind,
             "component": list(eq.component),
-            "lhs": sp.sstr(eq.lhs),
+            "lhs": lhs,
         })
-        print(f"[order {eq.order}] {eq.kind} {tuple(eq.component)}: {sp.sstr(eq.lhs)} = 0")
+        print(f"[order {eq.order}] {eq.kind} {tuple(eq.component)}: {lhs} = 0")
     return {"equations": equations}, EXIT_OK
 
 
@@ -304,7 +319,7 @@ def main(argv=None) -> int:
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (SolverError, IntegrationError, GeometryError) as exc:
+    except (SolverError, IntegrationError, GeometryError, OutputTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = {"command": args.command, "problem": str(args.problem),

@@ -111,8 +111,13 @@ class HomotheticResult:
 def derivative_table():
     """A memoised d(e, v): each (expression, variable) pair is differentiated once.
 
-    An applied function placeholder gets its unevaluated ``Derivative``
-    directly, without the chain rule ``sp.diff`` runs over its arguments.
+    Sums and products are differentiated by linearity and sympy's own
+    one-derivative Leibniz rule (one n-ary product per factor that depends on
+    v) over the memoised derivatives of their arguments, so the result equals
+    ``sp.diff(e, v)`` in structure without a ``Derivative`` construction per
+    term.  An applied function placeholder gets its unevaluated
+    ``Derivative`` directly, without the chain rule ``sp.diff`` runs over its
+    arguments; every other expression goes to ``sp.diff``.
     """
     table = {}
 
@@ -120,7 +125,16 @@ def derivative_table():
         key = (e, v)
         out = table.get(key)
         if out is None:
-            out = sp.Derivative(e, v) if isinstance(e, AppliedUndef) else sp.diff(e, v)
+            if isinstance(e, AppliedUndef):
+                out = sp.Derivative(e, v)
+            elif e.is_Add:
+                out = sp.Add(*(d(a, v) for a in e.args))
+            elif e.is_Mul:
+                args = e.args
+                out = sp.Add(*(sp.Mul(*args[:i], d(a, v), *args[i + 1:])
+                               for i, a in enumerate(args) if a.has(v)))
+            else:
+                out = sp.diff(e, v)
             table[key] = out
         return out
 

@@ -12,6 +12,7 @@ solution basis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -287,6 +288,30 @@ def _generator(ansatz: Ansatz, name: str, vec: Sequence[sp.Expr]) -> Approximate
     )
 
 
+def _is_atom_power(factor: sp.Expr) -> bool:
+    """A number or an integer power of a symbol."""
+    base, exp = factor.as_base_exp()
+    return factor.is_Rational or (base.is_Symbol and exp.is_Integer)
+
+
+def _cleared(lhs: sp.Expr) -> sp.Expr:
+    """lhs times the lcm of its terms' denominators, expanded.
+
+    Numbers and integer powers of a symbol are atoms of the normal form, so
+    they stay in the terms.  The terms of the expanded lhs are grouped by the
+    rest of their denominator; each group's numerators are scaled by
+    lcm / denominator, which is a polynomial.
+    """
+    groups: dict[sp.Expr, list[sp.Expr]] = {}
+    for term in sp.Add.make_args(sp.expand(lhs)):
+        numer, denom = term.as_numer_denom()
+        kept = sp.Mul(*(f for f in sp.Mul.make_args(denom) if _is_atom_power(f)))
+        groups.setdefault(denom / kept, []).append(numer / kept)
+    lcm = functools.reduce(sp.lcm, groups)
+    return sp.Add(*(sp.expand(sp.cancel(lcm / denom) * sp.Add(*numers))
+                    for denom, numers in groups.items()))
+
+
 def reduce(ansatz: Ansatz) -> LinearSystem:
     """Collect each bound equation over independent atoms.
 
@@ -298,9 +323,8 @@ def reduce(ansatz: Ansatz) -> LinearSystem:
     index = {u: col for col, u in enumerate(unknowns)}
     rows: list[dict] = []
     for eq in candidate_residuals(ansatz.L, _generator(ansatz, "ansatz", unknowns)):
-        numer, _ = sp.fraction(sp.together(eq.lhs))
         try:
-            rows.extend(linear_rows(sp.expand(numer), index, lambda c: normalize(c).terms))
+            rows.extend(linear_rows(_cleared(eq.lhs), index, lambda c: normalize(c).terms))
         except NonNormalizableError as exc:
             raise UnsupportedEquationError(
                 f"order {eq.order} {eq.kind} {eq.component}: {exc}"

@@ -167,6 +167,15 @@ class TestSolve:
         assert membership == {name: True for name in
                               ("Z0", "Zt", "Zrot", "Z1", "Z2", "Z3", "Z4", "Z5")}
 
+    def test_non_polynomial_denominator_unsupported(self, tmp_path, capsys):
+        """sqrt(x^2 + 1) stays in the cleared equations, outside the normal form."""
+        problem = fixture_probe(tmp_path, ("V0",), "(x^2+1)^(-1/2)",
+                                fixture="free_particle.json")
+        assert run("solve", problem) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("unsupported: ")
+        assert err.count("\n") == 1
+
 
 @pytest.mark.parametrize("command", ["integrals", "simulate"])
 @pytest.mark.parametrize("candidate", [NOT_A_SYMMETRY, OPEN_DIFFERENTIAL],
@@ -357,8 +366,8 @@ class TestInputErrors:
         assert err.count("\n") == 1
 
 
-def oscillator_probe(tmp_path, path, value):
-    doc = json.loads(fixture_path("oscillator.json").read_text())
+def fixture_probe(tmp_path, path, value, fixture="oscillator.json"):
+    doc = json.loads(fixture_path(fixture).read_text())
     set_field(doc, path, value)
     problem = tmp_path / "probe.json"
     problem.write_text(json.dumps(doc))
@@ -371,7 +380,7 @@ class TestBoundedInput:
 
     @pytest.mark.parametrize("command", ["verify", "integrals", "simulate"])
     def test_singular_metric(self, tmp_path, capsys, command):
-        assert run(command, oscillator_probe(tmp_path, ("metric",), [["0"]])) == 2
+        assert run(command, fixture_probe(tmp_path, ("metric",), [["0"]])) == 2
         err = capsys.readouterr().err
         assert err == "input error: metric: singular: det g is identically zero\n"
 
@@ -379,13 +388,13 @@ class TestBoundedInput:
                                         "x^65", "x^(1/65)"],
                              ids=["long-literal", "long-exponent", "x^65", "x^(1/65)"])
     def test_parser_limits(self, tmp_path, capsys, source):
-        assert run("verify", oscillator_probe(tmp_path, ("V0",), source)) == 2
+        assert run("verify", fixture_probe(tmp_path, ("V0",), source)) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: V0: ")
         assert err.count("\n") == 1
 
     def test_largest_exponent_loads(self, tmp_path):
-        problem = load_problem(oscillator_probe(tmp_path, ("V0",), "x^64 + x^(-64/63)"))
+        problem = load_problem(fixture_probe(tmp_path, ("V0",), "x^64 + x^(-64/63)"))
         x = problem.ctx.xs[0]
         assert problem.L.V0 == x**64 + x ** sp.Rational(-64, 63)
 
@@ -394,19 +403,30 @@ class TestBoundedInput:
                                         "((2^64)^64)^64*x^2"],
                              ids=["nested-power", "power-product", "nested-number"])
     def test_folded_powers_bounded(self, tmp_path, capsys, source):
-        assert run("derive", oscillator_probe(tmp_path, ("V1",), source)) == 2
+        assert run("derive", fixture_probe(tmp_path, ("V1",), source)) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: V1: ")
         assert err.count("\n") == 1
 
+    def test_result_number_too_long_to_print(self, tmp_path, capsys):
+        """Every number in the source is in bounds; the conservation law's
+        coefficients reach 2^262144, more digits than Python prints."""
+        problem = fixture_probe(tmp_path, ("V1",), "((2^64)^64*x+1)^64")
+        assert run("integrals", problem) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: result has a number of more than 4300 digits, "
+                       "too long to print\n")
+        assert run("derive", problem) == 0
+        assert run("verify", problem) == 0
+
     def test_folded_power_within_bound_loads(self, tmp_path):
-        problem = load_problem(oscillator_probe(tmp_path, ("V1",), "((x+1)^8)^8"))
+        problem = load_problem(fixture_probe(tmp_path, ("V1",), "((x+1)^8)^8"))
         assert problem.L.V1 == (problem.ctx.xs[0] + 1) ** 64
 
     # 628 / 1e-300 steps is finite and far past the limit; 628 / 1e-310 overflows
     @pytest.mark.parametrize("dt", [1e-300, 1e-310], ids=["past-limit", "overflow"])
     def test_step_count_bounded(self, tmp_path, capsys, dt):
-        assert run("simulate", oscillator_probe(tmp_path, ("simulation", "dt"), dt)) == 2
+        assert run("simulate", fixture_probe(tmp_path, ("simulation", "dt"), dt)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: (t_end - t_start) / dt = ")
         assert err.endswith("steps exceeds the limit of 10000000 per epsilon\n")
@@ -442,6 +462,44 @@ def test_wrong_json_type_never_raises(data):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = run("verify", problem)
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+
+
+# division and ln at a constant zero, an exponent past the bound, a folded power
+# past it, an unknown name, and large exponents that stay under the bound
+EXPRESSION_MUTATIONS = ["1/0", "ln(0)", "x^65", "(x+1)^64*(x+1)^64", "zeta",
+                        "(x+1)^64", "x^(-64/63)"]
+
+
+def expression_fields(doc):
+    """(position, text) of every expression string of a problem document."""
+    for path in field_paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if isinstance(node, str) and path[0] not in ("coordinates", "parameters") \
+                and path[-1] not in ("name", "note"):
+            yield path, node
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=20_000)
+def test_mutated_expression_never_raises(data):
+    """One expression of a shipped fixture replaced by, or added to, a hostile one."""
+    fixture = data.draw(st.sampled_from(["oscillator.json", "case1.json", "case3.json",
+                                         "case4.json"]))
+    doc = json.loads(fixture_path(fixture).read_text())
+    path, source = data.draw(st.sampled_from(list(expression_fields(doc))))
+    mutation = data.draw(st.sampled_from(EXPRESSION_MUTATIONS))
+    set_field(doc, path, data.draw(st.sampled_from([mutation, f"({source}) + {mutation}"])))
+    command = data.draw(st.sampled_from(["derive", "verify", "integrals", "killing"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "mutated.json"
+        problem.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(command, problem)
     assert code in {0, 1, 2, 3}
     assert "Traceback" not in err.getvalue()
 

@@ -1,6 +1,7 @@
 import numpy as np
 import sympy as sp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noetherkit.solver
 from noetherkit import (
@@ -12,7 +13,12 @@ from noetherkit import (
     lie_derivative_metric,
     solve_homothetic,
 )
-from noetherkit.geometry import GeometryError, UnsupportedMetricError, lie_scalar
+from noetherkit.geometry import (
+    GeometryError,
+    UnsupportedMetricError,
+    derivative_table,
+    lie_scalar,
+)
 
 
 def euclidean(ctx):
@@ -85,6 +91,56 @@ class TestLieDerivative:
     def test_scalar_directional(self, ctx2):
         x, y = ctx2.xs
         assert sp.expand(lie_scalar(x**2 + y**2, (y, -x), ctx2.xs)) == 0
+
+
+T, X, Y = sp.symbols("t x y")
+# placeholders as build_conditions makes them: applied to the time and every coordinate
+PLACEHOLDERS = [sp.Function("xi0")(T, X, Y), sp.Function("eta0_1")(T, X, Y)]
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4).map(
+    lambda f: sp.Rational(f.numerator, f.denominator))
+symbols = st.sampled_from([T, X, Y])
+
+
+@st.composite
+def polynomials(draw):
+    """A symbol plus up to two rational multiples of monomials of degree <= 2."""
+    terms = draw(st.lists(st.tuples(rationals, st.lists(symbols, max_size=2)), max_size=2))
+    return draw(symbols) + sp.Add(*(c * sp.Mul(*m) for c, m in terms))
+
+
+def _power(pair):
+    base, exponent = pair
+    return base if base == 0 else base**exponent
+
+
+leaves = st.one_of(
+    rationals,
+    symbols,
+    st.sampled_from(PLACEHOLDERS),
+    st.tuples(st.sampled_from([sp.sin, sp.cos, sp.exp, sp.log]), polynomials())
+    .map(lambda fp: fp[0](fp[1])),
+)
+# sums and products are built n-ary (sp.Add(*args), sp.Mul(*args)), not by binary
+# operators, so a product may keep a number beside a sum, as the residuals do
+expressions = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, min_size=2, max_size=4).map(lambda a: sp.Add(*a)),
+        st.lists(children, min_size=2, max_size=4).map(lambda a: sp.Mul(*a)),
+        st.tuples(children, st.integers(min_value=-3, max_value=3)).map(_power),
+    ),
+    max_leaves=10,
+)
+
+
+@given(expressions, symbols)
+@settings(max_examples=50, deadline=5_000)
+def test_derivative_table_matches_diff(e, v):
+    """d(e, v) equals sp.diff(e, v) in value and in structure."""
+    got = derivative_table()(e, v)
+    reference = sp.diff(e, v)
+    assert got == reference
+    assert str(got) == str(reference)
 
 
 class TestCheckHomothetic:

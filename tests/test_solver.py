@@ -357,6 +357,12 @@ class TestOnePassAssembly:
         L = flat_lagrangian(ctx, x**2 / 2 + x**3, x**4 + ctx.t * x, order=2)
         self.check(L, AnsatzSpec((sp.Integer(1), ctx.t), spatial_degree=1))
 
+    def test_polynomial_denominator(self):
+        """case5's equations carry 1/(x^2 + y^2) and its powers; time basis (1, t)."""
+        p = load_problem(fixture_path("case5.json"))
+        self.check(p.L, AnsatzSpec((sp.Integer(1), p.ctx.t), p.ansatz.spatial_degree,
+                                   p.ansatz.include_inverse_powers))
+
 
 @pytest.fixture(scope="module")
 def free_particle_basis():
