@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -159,6 +160,7 @@ def cmd_verify(problem: Problem, args) -> tuple[dict, int]:
 def cmd_solve(problem: Problem, args) -> tuple[dict, int]:
     if problem.ansatz is None:
         raise ProblemError("ansatz", "missing; cmd_solve needs an ansatz block")
+    candidates = _select_candidates(problem, args.candidate)
     basis = solve(problem.L, problem.ansatz, args.tolerance, args.seed)
     generators = []
     for g in basis.generators:
@@ -172,7 +174,7 @@ def cmd_solve(problem: Problem, args) -> tuple[dict, int]:
     membership = []
     quarantined = []
     failed = False
-    for X in problem.candidates:
+    for X in candidates:
         if X.quarantined:
             quarantined.append({"name": X.name, "note": X.note})
             continue
@@ -307,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise ProblemError("--tolerance", f"must be finite and positive, got {args.tolerance}")
         problem = load_problem(args.problem)
         report, code = COMMANDS[args.command](problem, args)
     except ProblemError as exc:

@@ -107,10 +107,7 @@ def candidate_residuals(L: PerturbedLagrangian,
             f"candidate {X.name} has no boundary terms; recover them first"
         )
     eqs = residuals(L, [o.xi for o in X.orders], [o.eta for o in X.orders], X.boundary)
-    params = L.ctx.numeric_bindings()
-    if params:
-        eqs = tuple(replace(eq, lhs=eq.lhs.subs(params)) for eq in eqs)
-    return eqs
+    return tuple(replace(eq, lhs=L.ctx.bind(eq.lhs)) for eq in eqs)
 
 
 # -- prolongation ---------------------------------------------------------
@@ -181,8 +178,7 @@ def noether_residuals(
                 r += prolong_apply(X.orders[A], parts[a], ctx)
                 r += total_time_derivative(X.orders[A].xi, ctx) * parts[a]
         r -= total_time_derivative(X.boundary[gamma], ctx)
-        params = ctx.numeric_bindings()
-        residuals.append(r.subs(params) if params else r)
+        residuals.append(ctx.bind(r))
     return residuals
 
 

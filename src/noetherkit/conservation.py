@@ -73,22 +73,14 @@ def first_integral(
         if not report.passed:
             raise ModelError(f"generator {X.name} fails verification")
     n = L.ctx.dimension
-    H0 = hamiltonian(L, "zeroth")
-    expr = (
-        X.orders[gamma].xi * H0
-        - sp.Add(*(_momentum(L, L.g.entries, i) * X.orders[gamma].eta[i] for i in range(n)))
-        + X.boundary[gamma]
-    )
+    parts = [(L.g.entries, hamiltonian(L, "zeroth"), gamma)]
     if gamma >= 1:
-        H1 = hamiltonian(L, "first")
-        expr += X.orders[gamma - 1].xi * H1
-        expr -= sp.Add(
-            *(_momentum(L, L.h.entries, i) * X.orders[gamma - 1].eta[i] for i in range(n))
-        )
-    params = L.ctx.numeric_bindings()
-    if params:
-        expr = expr.subs(params)
-    return FirstIntegral(gamma, sp.expand(expr), X.name, gamma)
+        parts.append((L.h.entries, hamiltonian(L, "first"), gamma - 1))
+    expr = X.boundary[gamma]
+    for m, H, A in parts:
+        eta = X.orders[A].eta
+        expr += X.orders[A].xi * H - sp.Add(*(_momentum(L, m, i) * eta[i] for i in range(n)))
+    return FirstIntegral(gamma, sp.expand(L.ctx.bind(expr)), X.name, gamma)
 
 
 def total_integral(
@@ -131,9 +123,7 @@ def accelerations(L: PerturbedLagrangian) -> list[sp.Expr]:
         Minv = M.inv()
     except (sp.matrices.exceptions.NonInvertibleMatrixError, ValueError) as exc:
         raise NumericOnly(str(exc)) from exc
-    accel = Minv * rhs
-    params = ctx.numeric_bindings()
-    return [sp.cancel(a.subs(params) if params else a) for a in accel]
+    return [sp.cancel(ctx.bind(a)) for a in Minv * rhs]
 
 
 @dataclass(frozen=True)
@@ -170,24 +160,18 @@ def symbolic_drift(
         dI += sp.diff(I, ctx.xs[i]) * ctx.vs[i]
         dI += sp.diff(I, ctx.vs[i]) * accel[i]
     dI = sp.expand(sp.cancel(sp.together(dI)))
-    if dI.has(eps):
-        try:
-            series = sp.Poly(dI, eps)
-        except sp.PolynomialError:
-            # rational in eps (x-dependent mass matrix): expand as a series
-            expanded = sp.expand(sp.series(dI, eps, 0, order + 2).removeO())
-            series = sp.Poly(expanded, eps)
-    else:
-        series = None
+    try:
+        series = sp.Poly(dI, eps)
+    except sp.PolynomialError:
+        # rational in eps (x-dependent mass matrix): expand as a series
+        expanded = sp.expand(sp.series(dI, eps, 0, order + 2).removeO())
+        series = sp.Poly(expanded, eps)
     truncation = sp.Integer(0)
     remainder = sp.Integer(0)
-    if series is None:
-        truncation = dI
-    else:
-        for (k,), coeff in series.terms():
-            if k <= order:
-                truncation += eps**k * coeff
-            elif k == order + 1:
-                remainder = coeff
+    for (k,), coeff in series.terms():
+        if k <= order:
+            truncation += eps**k * coeff
+        elif k == order + 1:
+            remainder = coeff
     return DriftExpansion(sp.expand(remainder), order,
                           bool(is_zero(sp.expand(truncation), tol, seed)))

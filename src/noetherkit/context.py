@@ -98,6 +98,11 @@ class Context:
             if value != SYMBOLIC
         }
 
+    def bind(self, e: sp.Basic) -> sp.Basic:
+        """``e`` with every parameter bound to a number replaced by its value."""
+        params = self.numeric_bindings()
+        return e.subs(params) if params else e
+
     def free_param_symbols(self) -> tuple[sp.Symbol, ...]:
         return tuple(
             sp.Symbol(name, real=True)

@@ -232,17 +232,28 @@ def scaling_exponent(
 
 
 def fit_slope(records: Sequence[DriftRecord], noise_floor: float = 1e-12) -> ScalingResult:
-    """Log-log slope of max drift against epsilon from existing records."""
-    kept = [(r.epsilon, r.max_abs_drift) for r in records if r.max_abs_drift > noise_floor]
-    excluded = tuple(r.epsilon for r in records if r.max_abs_drift <= noise_floor)
+    """Log-log slope of max drift against epsilon from existing records.
+
+    Each distinct positive epsilon enters the fit once, if its drift is above
+    the noise floor; the others are listed as excluded.
+    """
+    kept: dict[float, float] = {}
+    excluded = []
+    for r in records:
+        if r.epsilon > 0 and r.epsilon not in kept and r.max_abs_drift > noise_floor:
+            kept[r.epsilon] = r.max_abs_drift
+        else:
+            excluded.append(r.epsilon)
+    # were all exclusions for the noise floor? (every drift at or below it is one)
+    floor_only = len(excluded) == sum(r.max_abs_drift <= noise_floor for r in records)
+    reason = "at the noise floor" if floor_only else "not positive, repeated or at the noise floor"
+    note = f"excluded {len(excluded)} epsilon(s) {reason}" if excluded else ""
     if len(kept) < 2:
-        note = "all drifts at or below the integrator noise floor; slope indeterminate"
-        return ScalingResult(None, tuple(records), excluded, note)
-    xs = np.log([e for e, _ in kept])
-    ys = np.log([d for _, d in kept])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    note = f"excluded {len(excluded)} epsilon(s) at the noise floor" if excluded else ""
-    return ScalingResult(slope, tuple(records), excluded, note)
+        if floor_only:
+            note = "all drifts at or below the integrator noise floor"
+        return ScalingResult(None, tuple(records), tuple(excluded), note + "; slope indeterminate")
+    slope = float(np.polyfit(np.log(list(kept)), np.log(list(kept.values())), 1)[0])
+    return ScalingResult(slope, tuple(records), tuple(excluded), note)
 
 
 def write_csv(

@@ -253,7 +253,7 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
         return terms
 
     # parameters bound to numbers enter as their values, as in the determining equations
-    bound = g.entries.subs(ctx.numeric_bindings())
+    bound = ctx.bind(g.entries)
     lie = lie_matrix(bound, comps, xs)
     rows = []
     for i in range(n):

@@ -240,17 +240,11 @@ def is_zero(e: sp.Expr, tol: float = 1e-10, seed: int = DEFAULT_SEED) -> ZeroRes
         ratio = abs(value) / (tol * max(1.0, scale))
         if best is None or ratio > best[0]:
             best = (ratio, point, value)
-    if best is not None and best[0] > 1.0:
+    # a nonempty normal form of independent atoms is nonzero mathematically
+    if best is not None and (best[0] > 1.0 or normal_ok):
         return ZeroResult(
             ZeroStatus.NONZERO, witness=best[1], witness_value=best[2],
             cleared_denominator=cleared, samples=count,
         )
-    if normal_ok:
-        # mathematically nonzero (nonempty normal form of independent atoms)
-        if best is None:
-            return ZeroResult(ZeroStatus.NONZERO, cleared_denominator=cleared)
-        return ZeroResult(
-            ZeroStatus.NONZERO, witness=best[1], witness_value=best[2],
-            cleared_denominator=cleared, samples=count,
-        )
-    return ZeroResult(ZeroStatus.UNDECIDED, cleared_denominator=cleared, samples=count)
+    status = ZeroStatus.NONZERO if normal_ok else ZeroStatus.UNDECIDED
+    return ZeroResult(status, cleared_denominator=cleared, samples=count)

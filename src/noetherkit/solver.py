@@ -5,9 +5,10 @@ spatial monomials, so the ansatz is a coefficient table: one unknown per
 (slot, basis function) pair.  Binding the ansatz into the determining
 equations gives expressions linear and homogeneous in the unknowns; one pass
 over the terms of each cleared numerator collects them over independent
-atoms into sparse rows over QQ, one row per atom.  Their nullspace over QQ,
-with pure-gauge directions (constant boundary terms) quotiented out, is the
-solution basis.
+atoms into sparse rows over QQ, one row per atom.  Their nullspace over QQ
+is the solution basis.  The equations see a boundary term only through its
+derivatives, so a constant one is gauge: the boundary ansatz has no constant
+functions, and the solutions have no pure-gauge directions to quotient out.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ class AnsatzSpec:
 
     def check_independent(self, t: sp.Symbol) -> None:
         """Collocation: the basis evaluated at k + 8 seeded points in [0.3, 2.3]
-        must have rank k (points outside a function's domain are skipped)."""
+        must have rank k (points outside a function's domain are skipped).
+        A basis that spans a constant must list it: only numbers are gauge."""
         k = len(self.time_basis)
         fn = sp.lambdify(t, list(self.time_basis), modules=["math"])
         # the standard library's generator: the first use of numpy.random
@@ -86,8 +88,12 @@ class AnsatzSpec:
                 values.append(fn(rng.uniform(0.3, 2.3)))
             except (ValueError, ZeroDivisionError, OverflowError):
                 continue
-        if not values or np.linalg.matrix_rank(np.array(values, dtype=float)) != k:
+        matrix = np.array(values, dtype=float)
+        if not values or np.linalg.matrix_rank(matrix) != k:
             raise SolverError("time basis functions are not independent")
+        with_ones = np.column_stack([matrix, np.ones(len(values))])
+        if not any(b.is_number for b in self.time_basis) and np.linalg.matrix_rank(with_ones) == k:
+            raise SolverError("time basis spans a constant but lists none; add 1 to it")
 
 
 @dataclass(frozen=True)
@@ -108,8 +114,8 @@ class Ansatz:
     L: PerturbedLagrangian
     spec: AnsatzSpec
     unknowns: tuple[sp.Symbol, ...]
-    gauge_unknowns: tuple[sp.Symbol, ...]
     columns: tuple[Column, ...]  # aligned with unknowns
+    constants: int  # boundary functions left out because they are numbers
 
     @cached_property
     def slots(self) -> dict[tuple[str, int, int],
@@ -145,8 +151,8 @@ class SolutionBasis:
     generators: tuple[ApproximateGenerator, ...]
     nullspace_dim: int
     gauge_note: str
-    # non-gauge coefficient vectors over QQ, dense, aligned with generators;
-    # used for the span-membership test
+    # coefficient vectors over QQ, dense, aligned with generators; used for
+    # the span-membership test
     vectors: tuple[tuple, ...]
     ansatz: Ansatz
 
@@ -218,9 +224,8 @@ def linear_rows(numer: sp.Expr, index: dict,
 def instantiate(L: PerturbedLagrangian, spec: AnsatzSpec) -> Ansatz:
     """Tabulate xi, eta and f over the ansatz with fresh unknown coefficients.
 
-    Unknowns are ordered deterministically with the gauge unknowns (constant
-    terms of the boundary ansatz) first, so the nullspace quotient below is a
-    plain column convention.
+    A boundary function that is a number gets no unknown: a constant boundary
+    term is gauge.  The ones left out are counted.
     """
     ctx = L.ctx
     free = L.ctx.free_param_symbols()
@@ -248,24 +253,24 @@ def instantiate(L: PerturbedLagrangian, spec: AnsatzSpec) -> Ansatz:
     eta_mons = _spatial_monomials(ctx.xs, d, spec.include_inverse_powers)
     f_mons = _spatial_monomials(ctx.xs, d + 1, spec.include_inverse_powers)
 
-    gauge, others = [], []
+    table = []
+    constants = 0
     for A in range(n_orders):
         for m_idx, T in enumerate(spec.time_basis):
             for s_idx, M in enumerate(f_mons):
-                entry = (sp.Symbol(f"_f{A}_{m_idx}_{s_idx}"), Column(("f", A, 0), T * M))
-                (gauge if T * M == 1 else others).append(entry)
+                if (T * M).is_number:
+                    constants += 1
+                else:
+                    table.append((sp.Symbol(f"_f{A}_{m_idx}_{s_idx}"),
+                                  Column(("f", A, 0), T * M)))
         for m_idx, T in enumerate(spec.time_basis):
-            others.append((sp.Symbol(f"_x{A}_{m_idx}"), Column(("xi", A, 0), T)))
+            table.append((sp.Symbol(f"_x{A}_{m_idx}"), Column(("xi", A, 0), T)))
         for i in range(ctx.dimension):
             for m_idx, T in enumerate(spec.time_basis):
                 for s_idx, M in enumerate(eta_mons):
-                    others.append((sp.Symbol(f"_e{A}_{i}_{m_idx}_{s_idx}"),
-                                   Column(("eta", A, i), T * M)))
-    table = gauge + others
-    return Ansatz(
-        L, spec, tuple(u for u, _ in table), tuple(u for u, _ in gauge),
-        tuple(c for _, c in table),
-    )
+                    table.append((sp.Symbol(f"_e{A}_{i}_{m_idx}_{s_idx}"),
+                                  Column(("eta", A, i), T * M)))
+    return Ansatz(L, spec, tuple(u for u, _ in table), tuple(c for _, c in table), constants)
 
 
 def _generator(ansatz: Ansatz, name: str, vec: Sequence[sp.Expr]) -> ApproximateGenerator:
@@ -334,34 +339,25 @@ def reduce(ansatz: Ansatz) -> LinearSystem:
 
 def nullspace(system: LinearSystem, tol: float = 1e-10,
               seed: int = DEFAULT_SEED) -> SolutionBasis:
-    """Exact nullspace, gauge-quotiented and canonically ordered.
-
-    The gauge unknowns come first in the column order, so in the row-reduced
-    nullspace basis the pure-gauge directions are exactly the rows supported
-    on the leading gauge block; they are dropped and the rest have zero gauge
-    components.
-    """
+    """Exact nullspace, canonically ordered."""
     ansatz = system.ansatz
     null = rational_nullspace(system.matrix)
-    if not null:
+    if not null and not ansatz.constants:
         return SolutionBasis((), 0, "no solutions", (), ansatz)
-    n_gauge = len(ansatz.gauge_unknowns)
-    kept = [vec for vec in null if any(vec[n_gauge:])]
-    dropped = len(null) - len(kept)
 
     def sort_key(pair):
         gen, vec = pair
         low = gen.lowest_order
         return (low if low is not None else ansatz.L.order + 1, vec)
 
-    paired = sorted(((_generator(ansatz, "", vec), vec) for vec in kept), key=sort_key)
+    paired = sorted(((_generator(ansatz, "", vec), vec) for vec in null), key=sort_key)
     generators = tuple(replace(g, name=f"S{i}") for i, (g, _) in enumerate(paired))
     vectors = tuple(v for _, v in paired)
     for g in generators:
         if not verify(ansatz.L, g, tol, seed).passed:
             raise SolverError(f"internal: solver produced {g.name} failing verification")
-    note = f"removed {dropped} pure-gauge direction(s) (constant boundary terms)"
-    return SolutionBasis(generators, len(kept), note, vectors, ansatz)
+    note = f"removed {ansatz.constants} pure-gauge direction(s) (constant boundary terms)"
+    return SolutionBasis(generators, len(null), note, vectors, ansatz)
 
 
 def solve(L: PerturbedLagrangian, spec: AnsatzSpec, tol: float = 1e-10,
@@ -394,7 +390,8 @@ def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
     The candidate is projected onto the ansatz coordinates slot by slot
     (failing that, it is not in the span) and membership is decided by an
     exact rational solve against the solution vectors.  Constant shifts of
-    the boundary terms are gauge and ignored.
+    the boundary terms are gauge: the part of a given f that depends on
+    neither t nor x is dropped.
 
     ``X.boundary is None`` means f is free: only the xi and eta coordinates
     are compared.  That decides the same question, because a solution with
@@ -404,23 +401,22 @@ def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
     """
     ansatz = basis.ansatz
     X.check_shape(ansatz.L)
+    ctx = ansatz.L.ctx
     free_f = X.boundary is None
     vec = {}
     for (kind, A, i), (cols, forms) in ansatz.slots.items():
         if kind == "f":
             if free_f:
                 continue
-            target = X.boundary[A]
+            target = sp.expand(X.boundary[A]).as_independent(ctx.t, *ctx.xs, as_Add=True)[1]
         else:
             target = X.orders[A].xi if kind == "xi" else X.orders[A].eta[i]
         coords = None if forms is None else _coordinates(target, forms)
         if coords is None:
             return False
         vec.update((cols[k], v) for k, v in coords.items())
-    # the solution vectors vanish on the gauge columns, so those are skipped
     compared = [c for c, column in enumerate(ansatz.columns)
-                if c >= len(ansatz.gauge_unknowns)
-                and not (free_f and column.slot[0] == "f")]
+                if not (free_f and column.slot[0] == "f")]
     return rational_solve(
         [{c: v[c] for c in compared if v[c]} for v in basis.vectors],
         {c: vec[c] for c in compared if c in vec},

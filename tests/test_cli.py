@@ -148,6 +148,36 @@ class TestSolve:
     def test_missing_ansatz(self):
         assert run("solve", fixture_path("case1.json")) == 2
 
+    def test_candidate_option(self, tmp_path):
+        code, report = run_report(tmp_path, "solve", fixture_path("case2_solver.json"),
+                                  "--candidate", "Z1")
+        assert code == 0
+        assert report["membership"] == [{"name": "Z1", "in_span": True}]
+
+    @pytest.mark.parametrize("constant", ["2", "1/2", "-1"])
+    def test_numeric_constant_in_basis_is_gauge(self, tmp_path, constant):
+        """Any number in the time basis, not only 1, makes constant f gauge."""
+        problem = fixture_probe(tmp_path, ("ansatz", "time_basis"), [constant, "t", "t^2"],
+                                fixture="free_particle.json")
+        code, report = run_report(tmp_path, "solve", problem)
+        assert code == 0
+        basis = report["solution_basis"]
+        assert basis["nullspace_dim"] == 10
+        assert basis["gauge_note"].startswith("removed 2 pure-gauge direction(s)")
+        # no generator is a bare constant boundary term
+        assert all(any(e != "0" for e in g["xi"] + sum(g["eta"], []))
+                   for g in basis["generators"])
+
+    @pytest.mark.parametrize("basis", [["sin(t)^2", "cos(t)^2"], ["1+t", "t", "t^2"]],
+                             ids=["sin^2,cos^2", "1+t,t,t^2"])
+    def test_basis_spanning_an_unlisted_constant(self, tmp_path, capsys, basis):
+        problem = fixture_probe(tmp_path, ("ansatz", "time_basis"), basis,
+                                fixture="free_particle.json")
+        assert run("solve", problem) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: time basis spans a constant")
+        assert err.count("\n") == 1
+
     def test_open_differential_is_out_of_span(self, tmp_path, capsys):
         path = oscillator_problem(tmp_path, OPEN_DIFFERENTIAL)
         code, report = run_report(tmp_path, "solve", path)
@@ -239,6 +269,25 @@ class TestSimulate:
             lines = (tmp_path / f"traj_{k}.csv").read_text().splitlines()
             assert lines[0] == "t,x1,x2,v1,v2,Zrot"
             assert len(lines) == 4002
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("epsilons, excluded", [
+        (["-0.01", "0.01"], [-0.01]),
+        (["0.01", "0.01"], [0.01]),
+        (["0.02", "-0.01", "0.01"], [-0.01]),
+    ], ids=["negative", "repeated", "negative-of-three"])
+    def test_fit_takes_distinct_positive_epsilons(self, tmp_path, sim_problem, epsilons,
+                                                  excluded):
+        argv = [a for eps in epsilons for a in ("--epsilon", eps)]
+        code, report = run_report(tmp_path, "simulate", sim_problem, *argv)
+        assert code == 0
+        (scaling,) = report["scaling"]
+        assert scaling["excluded_epsilons"] == excluded
+        if len(epsilons) - len(excluded) < 2:
+            assert scaling["exponent"] is None
+            assert scaling["note"].endswith("slope indeterminate")
+        else:
+            assert 1.7 <= scaling["exponent"] <= 2.3
 
     def test_epsilon_override(self, tmp_path, sim_problem):
         code, report = run_report(
@@ -336,6 +385,10 @@ LOAD_PROBES = [
     (("simulation", "dt"), True, "simulation.dt"),
     (("simulation", "t_end"), 10**400, "simulation.t_end"),
 ]
+LOAD_PROBE_IDS = [probe[2] for probe in LOAD_PROBES]
+# a JSON path probed before, so its id names the fault
+LOAD_PROBES.append((("V1",), "xdot", "V1"))
+LOAD_PROBE_IDS.append("V1-velocity")
 
 
 class TestInputErrors:
@@ -353,8 +406,7 @@ class TestInputErrors:
                                     "dimension": 2}))
         assert run("verify", path) == 2
 
-    @pytest.mark.parametrize("path, value, json_path", LOAD_PROBES,
-                             ids=[probe[2] for probe in LOAD_PROBES])
+    @pytest.mark.parametrize("path, value, json_path", LOAD_PROBES, ids=LOAD_PROBE_IDS)
     def test_rejected_at_load(self, tmp_path, capsys, path, value, json_path):
         doc = json.loads(fixture_path("oscillator.json").read_text())
         set_field(doc, path, value)
@@ -363,6 +415,15 @@ class TestInputErrors:
         assert run("verify", problem) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {json_path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+    def test_tolerance_finite_and_positive(self, capsys, command, tolerance):
+        problem = fixture_path("free_particle.json")
+        assert run(command, problem, "--tolerance", tolerance) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --tolerance: ")
         assert err.count("\n") == 1
 
 

@@ -1,17 +1,24 @@
+import functools
+
 import sympy as sp
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy.core.function import AppliedUndef
 
 from noetherkit import (
+    AnsatzSpec,
     ApproximateGenerator,
+    Context,
     GeneratorOrder,
     Metric,
     PerturbedLagrangian,
     build_conditions,
     fixture_path,
     load_problem,
+    parse,
     recover_boundary_terms,
     noether_residuals,
+    solve,
     verify,
 )
 from noetherkit.conditions import (
@@ -279,6 +286,37 @@ class TestVerifyInverseSquare:
         assert metric_fail[0].result.witness is not None
 
 
+# regular (g != 0) one-dimensional Lagrangians with h != 0 and polynomial
+# potentials, for the cross-route property
+CROSS_G = ("1", "2", "1 + x^2")
+CROSS_H = ("1", "x", "x^2")
+CROSS_V = ("0", "x", "x^2/2", "t*x", "x^3")
+CROSS_MONOMIALS = ("1", "t", "x", "t*x", "x^2")
+
+
+@functools.lru_cache(maxsize=None)
+def cross_route_solution(g, h, V0, V1, order):
+    """The Lagrangian and its solver generators over the time basis (1, t)."""
+    ctx = Context(("x",))
+    g, h, V0, V1 = (parse(e, ctx) for e in (g, h, V0, V1))
+    L = PerturbedLagrangian(ctx, Metric.from_rows(ctx, [[g]]), Metric.from_rows(ctx, [[h]]),
+                            V0, V1, order)
+    return L, solve(L, AnsatzSpec((sp.Integer(1), ctx.t))).generators
+
+
+def perturbed(X, slot, A, term):
+    """X with ``term`` added to its xi, eta or f at order A."""
+    orders, f = list(X.orders), list(X.boundary)
+    xi, (eta,) = orders[A].xi, orders[A].eta
+    if slot == "xi":
+        orders[A] = GeneratorOrder(xi + term, (eta,))
+    elif slot == "eta":
+        orders[A] = GeneratorOrder(xi, (eta + term,))
+    else:
+        f[A] += term
+    return ApproximateGenerator(f"{X.name}+{term}", tuple(orders), tuple(f))
+
+
 class TestDualRoute:
     """verify() and the raw-prolongation residuals must agree."""
 
@@ -303,6 +341,28 @@ class TestDualRoute:
         Z = gen("Zt", (1, 0), (0, 0), (0, 0))
         assert verify(oscillator, Z).passed
         assert all(self.residual_zero(oscillator, Z))
+
+    @given(st.sampled_from(CROSS_G), st.sampled_from(CROSS_H), st.sampled_from(CROSS_V),
+           st.sampled_from(CROSS_V), st.sampled_from((1, 2)), st.data())
+    @settings(max_examples=25, deadline=10_000)
+    def test_cross_route_on_random_regular_lagrangians(self, g, h, V0, V1, order, data):
+        """verify passes exactly when every raw Noether residual expands to 0.
+
+        The candidates are the solver's generators and one of them perturbed
+        by a monomial; every input is polynomial, so expand decides the
+        residuals exactly.
+        """
+        L, generators = cross_route_solution(g, h, V0, V1, order)
+        candidates = list(generators)
+        if generators:
+            X = data.draw(st.sampled_from(generators))
+            coeff = data.draw(st.sampled_from((1, -2, sp.Rational(1, 3))))
+            term = coeff * parse(data.draw(st.sampled_from(CROSS_MONOMIALS)), L.ctx)
+            slot = data.draw(st.sampled_from(("xi", "eta", "f")))
+            candidates.append(perturbed(X, slot, data.draw(st.integers(0, order)), term))
+        for X in candidates:
+            vanish = all(sp.expand(r) == 0 for r in noether_residuals(L, X))
+            assert verify(L, X).passed == vanish, X
 
 
 class TestBoundaryRecovery:

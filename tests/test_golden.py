@@ -1,9 +1,12 @@
-"""Golden outputs of ``solve`` and ``killing`` on every shipped fixture.
+"""Golden outputs of ``derive``, ``verify``, ``solve``, ``integrals`` and
+``killing`` on every shipped fixture.
 
 Each file under ``tests/golden/`` holds one run: its arguments, exit code,
 stdout, stderr and ``--report`` (without the path-dependent ``problem``
 field).  A refactor meant to leave outputs unchanged must reproduce them
-byte for byte.  After an intended output change, regenerate them with
+byte for byte.  ``simulate`` is left out: numpy's vectorised exp and log
+make its drift floats depend on the host.  After an intended output
+change, regenerate them with
 
     python tests/test_golden.py
 """
@@ -22,8 +25,8 @@ from noetherkit.cli import main
 GOLDEN = Path(__file__).with_name("golden")
 FIXTURES = sorted(p.name for p in fixture_path("case1.json").parent.glob("*.json"))
 RUNS = [
-    *(("solve", f) for f in FIXTURES),
-    *(("killing", f) for f in FIXTURES),
+    *((command, f) for command in ("derive", "verify", "solve", "integrals", "killing")
+      for f in FIXTURES),
     ("killing", "ndim.json", "--degree", "2"),
 ]
 

@@ -52,11 +52,11 @@ def quadratic_spec():
 class TestInstantiate:
     def test_free_particle_unknown_count(self, free_particle, quadratic_spec):
         ansatz = instantiate(free_particle, quadratic_spec)
-        # 2 orders x 3 time basis x (1 xi + 1*2 eta + 3 f) = 36
-        assert len(ansatz.unknowns) == 36
-        # gauge block: constant boundary coefficients, one per order
-        assert len(ansatz.gauge_unknowns) == 2
-        assert ansatz.unknowns[: 2] == ansatz.gauge_unknowns
+        # 2 orders x 3 time basis x (1 xi + 1*2 eta + 3 f) = 36, less the
+        # constant boundary function of each order, which is gauge
+        assert len(ansatz.unknowns) == 34
+        assert ansatz.constants == 2
+        assert not any(c.fn.is_number for c in ansatz.columns if c.slot[0] == "f")
 
     def test_sizing_abort(self, free_particle):
         t = sp.Symbol("t", real=True)
@@ -112,7 +112,7 @@ class TestAnsatzSpec:
             spec.check_independent(t)
 
     @pytest.mark.parametrize("basis", [
-        ("1",), ("t^(-1)",), ("1", "t", "t^2", "ln(t)"), ("sin(t)", "cos(t)", "1"),
+        ("1",), ("t^(-1)",), ("1", "t", "t^2", "ln(t)"), ("sin(t)", "cos(t)", "1"), ("t", "t^2"),
     ])
     def test_collocation_accepts_independent(self, ctx1, basis):
         AnsatzSpec(tuple(parse(b, ctx1) for b in basis)).check_independent(ctx1.t)
