@@ -239,17 +239,17 @@ def fit_slope(records: Sequence[DriftRecord], noise_floor: float = 1e-12) -> Sca
     """
     kept: dict[float, float] = {}
     excluded = []
+    invalid = False  # some epsilon above the noise floor was not positive or repeated
     for r in records:
-        if r.epsilon > 0 and r.epsilon not in kept and r.max_abs_drift > noise_floor:
+        if r.max_abs_drift > noise_floor and r.epsilon > 0 and r.epsilon not in kept:
             kept[r.epsilon] = r.max_abs_drift
         else:
+            invalid = invalid or r.max_abs_drift > noise_floor
             excluded.append(r.epsilon)
-    # were all exclusions for the noise floor? (every drift at or below it is one)
-    floor_only = len(excluded) == sum(r.max_abs_drift <= noise_floor for r in records)
-    reason = "at the noise floor" if floor_only else "not positive, repeated or at the noise floor"
+    reason = "not positive, repeated or at the noise floor" if invalid else "at the noise floor"
     note = f"excluded {len(excluded)} epsilon(s) {reason}" if excluded else ""
     if len(kept) < 2:
-        if floor_only:
+        if not invalid:
             note = "all drifts at or below the integrator noise floor"
         return ScalingResult(None, tuple(records), tuple(excluded), note + "; slope indeterminate")
     slope = float(np.polyfit(np.log(list(kept)), np.log(list(kept.values())), 1)[0])

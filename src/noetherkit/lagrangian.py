@@ -12,7 +12,11 @@ from .geometry import Metric
 
 
 class ModelError(ValueError):
-    pass
+    """Invalid model; ``field`` names the offending part when there is one."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,7 @@ class PerturbedLagrangian:
         for name in ("V0", "V1"):
             v = sp.sympify(getattr(self, name))
             if v.free_symbols & set(self.ctx.vs):
-                raise ModelError(f"{name} must not depend on velocities")
+                raise ModelError(f"{name} must not depend on velocities", name)
             object.__setattr__(self, name, v)
 
     def kinetic(self, m: Metric) -> sp.Expr:

@@ -12,7 +12,7 @@ import sympy as sp
 
 from .context import SYMBOLIC, Context, ContextError
 from .geometry import GeometryError, Metric
-from .lagrangian import ApproximateGenerator, GeneratorOrder, PerturbedLagrangian
+from .lagrangian import ApproximateGenerator, GeneratorOrder, ModelError, PerturbedLagrangian
 from .normal import NonNormalizableError, clear_denominator, normalize
 from .parsing import ParseError, parse
 from .solver import AnsatzSpec, SolverError
@@ -181,13 +181,12 @@ def load_problem(path) -> Problem:
     if singular:
         raise ProblemError("metric", "singular: det g is identically zero")
     h = _load_metric(doc, "h", ctx, required=False)
-    potentials = []
-    for key in ("V0", "V1"):
-        V = _parse_expr(doc.get(key, "0"), ctx, key)
-        if V.free_symbols & set(ctx.vs):
-            raise ProblemError(key, "must not depend on velocities")
-        potentials.append(V)
-    L = PerturbedLagrangian(ctx, g, h, *potentials, order)
+    V0 = _parse_expr(doc.get("V0", "0"), ctx, "V0")
+    V1 = _parse_expr(doc.get("V1", "0"), ctx, "V1")
+    try:
+        L = PerturbedLagrangian(ctx, g, h, V0, V1, order)
+    except ModelError as exc:
+        raise ProblemError(exc.field, str(exc)) from exc
 
     candidates = []
     for idx, cdoc in enumerate(_list(doc.get("candidates", []), "candidates")):

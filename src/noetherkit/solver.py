@@ -93,7 +93,10 @@ class AnsatzSpec:
             raise SolverError("time basis functions are not independent")
         with_ones = np.column_stack([matrix, np.ones(len(values))])
         if not any(b.is_number for b in self.time_basis) and np.linalg.matrix_rank(with_ones) == k:
-            raise SolverError("time basis spans a constant but lists none; add 1 to it")
+            raise SolverError(
+                "time basis spans a constant but lists none; write it with 1 in place "
+                'of one element (e.g. ["1", "cos(t)^2"])'
+            )
 
 
 @dataclass(frozen=True)
@@ -242,12 +245,14 @@ def instantiate(L: PerturbedLagrangian, spec: AnsatzSpec) -> Ansatz:
     n, d, extra = ctx.dimension, spec.spatial_degree, len(spec.include_inverse_powers)
     n_eta, n_f = math.comb(n + d, n) + extra, math.comb(n + d + 1, n) + extra
     n_orders = L.order + 1
-    count = n_orders * len(spec.time_basis) * (1 + n * n_eta + n_f)
+    # less the constant boundary functions, which are no unknowns
+    n_numbers = sum(T.is_number for T in spec.time_basis)
+    count = n_orders * (len(spec.time_basis) * (1 + n * n_eta + n_f) - n_numbers)
     if count > MAX_UNKNOWNS:
         raise SolverError(
             f"ansatz sizing: {count} unknowns exceeds the {MAX_UNKNOWNS} limit "
-            f"({n_orders} orders x {len(spec.time_basis)} time basis x "
-            f"[1 xi + {n}x{n_eta} eta + {n_f} f])"
+            f"({n_orders} orders x [{len(spec.time_basis)} time basis x "
+            f"(1 xi + {n}x{n_eta} eta + {n_f} f) - {n_numbers} constant f])"
         )
     spec.check_independent(ctx.t)
     eta_mons = _spatial_monomials(ctx.xs, d, spec.include_inverse_powers)
@@ -391,7 +396,7 @@ def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
     (failing that, it is not in the span) and membership is decided by an
     exact rational solve against the solution vectors.  Constant shifts of
     the boundary terms are gauge: the part of a given f that depends on
-    neither t nor x is dropped.
+    none of t, x and xdot is dropped.
 
     ``X.boundary is None`` means f is free: only the xi and eta coordinates
     are compared.  That decides the same question, because a solution with
@@ -408,7 +413,7 @@ def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
         if kind == "f":
             if free_f:
                 continue
-            target = sp.expand(X.boundary[A]).as_independent(ctx.t, *ctx.xs, as_Add=True)[1]
+            target = sp.expand(X.boundary[A]).as_independent(ctx.t, *ctx.xs, *ctx.vs, as_Add=True)[1]
         else:
             target = X.orders[A].xi if kind == "xi" else X.orders[A].eta[i]
         coords = None if forms is None else _coordinates(target, forms)

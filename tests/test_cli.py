@@ -178,6 +178,19 @@ class TestSolve:
         assert err.startswith("error: time basis spans a constant")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("xi0, eta0, f0", [("1", "0", "xdot"), ("1", "0", "1 + xdot"),
+                                               ("0", "t", "x + xdot")],
+                             ids=["translation", "translation+1", "boost"])
+    def test_velocity_in_boundary_term_is_out_of_span(self, tmp_path, xi0, eta0, f0):
+        """Only the part of f free of t, x and xdot is a gauge constant: each
+        candidate is a symmetry of the free particle but for its xdot term."""
+        candidate = {"name": "V", "xi": [xi0, "0"], "eta": [[eta0], ["0"]], "f": [f0, "0"]}
+        problem = fixture_probe(tmp_path, ("candidates",), [candidate],
+                                fixture="free_particle.json")
+        code, report = run_report(tmp_path, "solve", problem)
+        assert code == 1
+        assert report["membership"] == [{"name": "V", "in_span": False}]
+
     def test_open_differential_is_out_of_span(self, tmp_path, capsys):
         path = oscillator_problem(tmp_path, OPEN_DIFFERENTIAL)
         code, report = run_report(tmp_path, "solve", path)

@@ -58,6 +58,15 @@ class TestInstantiate:
         assert ansatz.constants == 2
         assert not any(c.fn.is_number for c in ansatz.columns if c.slot[0] == "f")
 
+    def test_sizing_counts_the_unknowns_made(self, free_particle, quadratic_spec,
+                                             monkeypatch):
+        """The closed-form count leaves out the constant boundary functions."""
+        monkeypatch.setattr(noetherkit.solver, "MAX_UNKNOWNS", 34)
+        assert len(instantiate(free_particle, quadratic_spec).unknowns) == 34
+        monkeypatch.setattr(noetherkit.solver, "MAX_UNKNOWNS", 33)
+        with pytest.raises(SolverError, match="34 unknowns exceeds the 33 limit"):
+            instantiate(free_particle, quadratic_spec)
+
     def test_sizing_abort(self, free_particle):
         t = sp.Symbol("t", real=True)
         big = AnsatzSpec(tuple(t**k for k in range(500)), spatial_degree=4)
