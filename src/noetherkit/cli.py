@@ -22,7 +22,7 @@ from .conditions import (
     verify,
 )
 from .conservation import NumericOnly, total_integral
-from .dynamics import IntegrationError, drift, fit_slope, integrate, write_csv
+from .dynamics import IntegrationError, drift, evaluate_integral, fit_slope, integrate, write_csv
 from .geometry import GeometryError, UnsupportedMetricError, solve_homothetic
 from .normal import DEFAULT_SEED, NonNormalizableError
 from .parsing import print_expression
@@ -234,7 +234,10 @@ def cmd_simulate(problem: Problem, args) -> tuple[dict, int]:
         traj = integrate(
             problem.L, sim.initial, sim.t_end, sim.dt, eps, sim.t_start
         )
+        columns = {}  # with a CSV, each integral is evaluated here once for both uses
         for name, comps in integrals.items():
+            if args.csv:
+                comps = columns[name] = evaluate_integral(problem.L, comps, traj)
             rec = drift(problem.L, comps, traj, name)
             by_integral[name].append(rec)
             records.append({
@@ -249,7 +252,7 @@ def cmd_simulate(problem: Problem, args) -> tuple[dict, int]:
             path = Path(args.csv)
             if len(epsilons) > 1:
                 path = path.with_name(f"{path.stem}_{k}{path.suffix}")
-            write_csv(path, problem.L, traj, integrals or None)
+            write_csv(path, problem.L, traj, columns or None)
             print(f"wrote {path}")
     scalings = []
     if len(epsilons) >= 2:

@@ -13,7 +13,7 @@ reads f_x and f_t off the gradient and potential conditions with f = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import sympy as sp
 
@@ -45,39 +45,37 @@ class DeterminingSystem:
     equations: tuple[Equation, ...]
 
 
-def residuals(L: PerturbedLagrangian, xi: Sequence, eta: Sequence[Sequence],
-              f: Sequence) -> tuple[Equation, ...]:
+def residuals(ctx: Context, parts: Sequence, xi: Sequence, eta: Sequence[Sequence],
+              f: Sequence, d: Callable) -> tuple[Equation, ...]:
     """Determining equations of the generator (xi_A, eta_A^i, f_A), A = 0..n.
 
-    Order 0 constrains (xi_0, eta_0, f_0) against (g, V0); each order
-    gamma >= 1 couples (xi_{gamma-1}, eta_{gamma-1}) with (xi_gamma,
-    eta_gamma) through (h, V1) and (g, V0).  Terms of order eps^{n+1} and
-    beyond are discarded.  The components are expressions in (t, x) or
-    applied function placeholders, whose derivatives stay unevaluated.
-    Each (expression, variable) pair is differentiated once per call.
+    Order 0 constrains (xi_0, eta_0, f_0) against (g, V0) = ``parts[0]``;
+    each order gamma >= 1 couples (xi_{gamma-1}, eta_{gamma-1}) with
+    (xi_gamma, eta_gamma) through (h, V1) = ``parts[1]`` and (g, V0).  Terms
+    of order eps^{n+1} and beyond are discarded.  Only ``+``, ``-``, ``*`` and
+    the derivation ``d(e, v)`` touch the inputs, so this runs on expressions
+    (with ``derivative_table``) and on the solver's ring elements alike.
     """
-    ctx = L.ctx
     t, xs = ctx.t, ctx.xs
     n = ctx.dimension
-    d = derivative_table()
     eqs: list[Equation] = []
-    for gamma in range(L.order + 1):
+    for gamma in range(len(xi)):
         # (kinetic matrix, potential, generator order) of each part of L at eps^gamma
-        parts = [(L.g.entries, L.V0, gamma)]
-        if gamma >= 1:
-            parts.append((L.h.entries, L.V1, gamma - 1))
-        metric = sp.zeros(n, n)
+        terms = [(*parts[0], gamma)] + ([(*parts[1], gamma - 1)] if gamma >= 1 else [])
+        metric = [[0] * n] * n
         gradient = [-d(f[gamma], x) for x in xs]
         potential = d(f[gamma], t)
-        for m, V, A in parts:
+        for m, V, A in terms:
             xi_t = d(xi[A], t)
-            metric += lie_matrix(m, eta[A], xs, d) - xi_t * m
+            lie = lie_matrix(m, eta[A], xs, d)
+            metric = [[metric[i][j] + lie[i][j] - xi_t * m[i][j] for j in range(n)]
+                      for i in range(n)]
             for j in range(n):
-                gradient[j] += sp.Add(*(m[i, j] * d(eta[A][i], t) for i in range(n)))
+                gradient[j] += sum(m[i][j] * d(eta[A][i], t) for i in range(n))
             potential += lie_scalar(V, eta[A], xs, d) + xi_t * V + xi[A] * d(V, t)
         for i in range(n):
             for j in range(i, n):
-                eqs.append(Equation(gamma, KIND_METRIC, (i, j), metric[i, j]))
+                eqs.append(Equation(gamma, KIND_METRIC, (i, j), metric[i][j]))
         for j in range(n):
             eqs.append(Equation(gamma, KIND_GRADIENT, (j,), gradient[j]))
         eqs.append(Equation(gamma, KIND_POTENTIAL, (), potential))
@@ -95,7 +93,7 @@ def build_conditions(L: PerturbedLagrangian) -> DeterminingSystem:
     xi = [sp.Function(f"xi{A}")(*args) for A in orders]
     eta = [[sp.Function(f"eta{A}_{i}")(*args) for i in range(ctx.dimension)] for A in orders]
     f = [sp.Function(f"f{A}")(*args) for A in orders]
-    return DeterminingSystem(residuals(L, xi, eta, f))
+    return DeterminingSystem(residuals(ctx, L.parts, xi, eta, f, derivative_table()))
 
 
 def candidate_residuals(L: PerturbedLagrangian,
@@ -106,7 +104,8 @@ def candidate_residuals(L: PerturbedLagrangian,
         raise ModelError(
             f"candidate {X.name} has no boundary terms; recover them first"
         )
-    eqs = residuals(L, [o.xi for o in X.orders], [o.eta for o in X.orders], X.boundary)
+    eqs = residuals(L.ctx, L.parts, [o.xi for o in X.orders], [o.eta for o in X.orders],
+                    X.boundary, derivative_table())
     return tuple(replace(eq, lhs=L.ctx.bind(eq.lhs)) for eq in eqs)
 
 

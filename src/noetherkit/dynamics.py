@@ -180,13 +180,14 @@ def evaluate_integral(
 
 def drift(
     L: PerturbedLagrangian,
-    integrals: Sequence[FirstIntegral] | FirstIntegral,
+    integrals: Sequence[FirstIntegral] | FirstIntegral | np.ndarray,
     traj: Trajectory,
     name: Optional[str] = None,
 ) -> DriftRecord:
     if isinstance(integrals, FirstIntegral):
         integrals = [integrals]
-    values = evaluate_integral(L, integrals, traj)
+    values = integrals if isinstance(integrals, np.ndarray) else evaluate_integral(
+        L, integrals, traj)
     deltas = values - values[0]
     return DriftRecord(
         name or integrals[0].source,
@@ -260,17 +261,17 @@ def write_csv(
     path,
     L: PerturbedLagrangian,
     traj: Trajectory,
-    integrals: Optional[dict[str, Sequence[FirstIntegral]]] = None,
+    integrals: Optional[dict[str, Sequence[FirstIntegral] | np.ndarray]] = None,
 ) -> None:
-    """Trajectory (and optional integral columns) with 17 significant digits."""
+    """Trajectory and integral columns (components or values) with 17 significant digits."""
     ctx = L.ctx
     n = ctx.dimension
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)]
     columns = [traj.times] + [traj.states[:, j] for j in range(2 * n)]
     if integrals:
-        for name in integrals:
+        for name, law in integrals.items():
             header.append(name)
-            columns.append(evaluate_integral(L, integrals[name], traj))
+            columns.append(law if isinstance(law, np.ndarray) else evaluate_integral(L, law, traj))
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

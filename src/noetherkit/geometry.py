@@ -141,40 +141,32 @@ def derivative_table():
     return d
 
 
-def lie_matrix(m, Y, xs, d=None) -> sp.Matrix:
-    """(L_Y m)_ij = Y^k m_ij,k + m_kj Y^k_,i + m_ik Y^k_,j, unexpanded.
+def lie_matrix(m, Y, xs, d=None) -> list[list]:
+    """(L_Y m)_ij = Y^k m_ij,k + m_kj Y^k_,i + m_ik Y^k_,j for a nested list m, unexpanded.
 
-    The components Y^k may depend on more than xs (the time, or function
-    placeholders, whose derivatives stay unevaluated).  Derivatives come from
-    the table ``d``, a fresh one by default.
+    Y^k may depend on more than xs (the time, or function placeholders, whose
+    derivatives stay unevaluated).  Only ``+``, ``*`` and ``d`` (a fresh
+    ``derivative_table`` by default) touch the entries: ring elements work too.
     """
     d = d or derivative_table()
-    n = m.shape[0]
-    out = sp.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            s = sp.Integer(0)
-            for k in range(n):
-                s += Y[k] * d(m[i, j], xs[k])
-                s += m[k, j] * d(Y[k], xs[i])
-                s += m[i, k] * d(Y[k], xs[j])
-            out[i, j] = s
-    return out
+    n = len(m)
+    return [[sum(Y[k] * d(m[i][j], xs[k]) + m[k][j] * d(Y[k], xs[i])
+                 + m[i][k] * d(Y[k], xs[j]) for k in range(n))
+             for j in range(n)] for i in range(n)]
 
 
-def lie_scalar(V, Y, xs, d=None) -> sp.Expr:
+def lie_scalar(V, Y, xs, d=None):
     """Directional derivative Y^k V_,k, with derivatives from the table ``d``."""
     d = d or derivative_table()
-    return sp.Add(*(Y[k] * d(V, xs[k]) for k in range(len(xs))))
+    return sum(Y[k] * d(V, xs[k]) for k in range(len(xs)))
 
 
 def lie_derivative_metric(g: Metric, Y: SpatialVectorField) -> sp.ImmutableMatrix:
     """(L_Y g)_ij = Y^k g_ij,k + g_kj Y^k_,i + g_ik Y^k_,j, expanded."""
     if Y.ctx.dimension != g.ctx.dimension:
         raise GeometryError("dimension mismatch")
-    return sp.ImmutableMatrix(
-        lie_matrix(g.entries, Y.components, g.ctx.xs).applyfunc(sp.expand)
-    )
+    lie = lie_matrix(g.entries.tolist(), Y.components, g.ctx.xs)
+    return sp.ImmutableMatrix(lie).applyfunc(sp.expand)
 
 
 def check_homothetic(g: Metric, Y: SpatialVectorField) -> HomotheticResult:
@@ -254,11 +246,11 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
 
     # parameters bound to numbers enter as their values, as in the determining equations
     bound = ctx.bind(g.entries)
-    lie = lie_matrix(bound, comps, xs)
+    lie = lie_matrix(bound.tolist(), comps, xs)
     rows = []
     for i in range(n):
         for j in range(i, n):
-            numer, _ = clear_denominator(lie[i, j] - 2 * psi * bound[i, j])
+            numer, _ = clear_denominator(lie[i][j] - 2 * psi * bound[i, j])
             if not numer.is_polynomial(*xs):
                 raise UnsupportedMetricError(
                     f"metric entry ({i},{j}) is not polynomial after clearing denominators"

@@ -54,6 +54,11 @@ class PerturbedLagrangian:
         )
 
     @property
+    def parts(self) -> tuple[tuple[list, sp.Expr], tuple[list, sp.Expr]]:
+        """((g, V0), (h, V1)): kinetic matrix as nested lists and potential of L0 and L1."""
+        return (self.g.entries.tolist(), self.V0), (self.h.entries.tolist(), self.V1)
+
+    @property
     def L0(self) -> sp.Expr:
         return self.kinetic(self.g) - self.V0
 

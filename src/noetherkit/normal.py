@@ -84,7 +84,7 @@ def _trig_expand(e: sp.Expr) -> sp.Expr:
     return e
 
 
-def _polynomial_argument(arg: sp.Expr) -> bool:
+def polynomial_argument(arg: sp.Expr) -> bool:
     syms = tuple(arg.free_symbols)
     if not syms:
         return arg.is_Rational
@@ -99,7 +99,7 @@ def _check_factor(factor: sp.Expr) -> None:
     base, expo = factor.as_base_exp()
     if base is sp.E:
         # exp factors present themselves as E**arg; powers fold into the arg
-        if not _polynomial_argument(expo):
+        if not polynomial_argument(expo):
             raise NonNormalizableError(f"non-polynomial argument in {factor}")
         return
     if base.is_Symbol:
@@ -109,13 +109,13 @@ def _check_factor(factor: sp.Expr) -> None:
     if isinstance(base, _ATOM_FUNCS):
         if not (expo.is_Integer and expo == 1):
             raise NonNormalizableError(f"unreduced function power {factor}")
-        if not _polynomial_argument(base.args[0]):
+        if not polynomial_argument(base.args[0]):
             raise NonNormalizableError(f"non-polynomial argument in {base}")
         return
     if isinstance(base, sp.log):
         if not (expo.is_Integer and expo > 0):
             raise NonNormalizableError(f"unsupported log power {factor}")
-        if not _polynomial_argument(base.args[0]):
+        if not polynomial_argument(base.args[0]):
             raise NonNormalizableError(f"non-polynomial argument in {base}")
         return
     raise NonNormalizableError(f"unsupported factor {factor}")

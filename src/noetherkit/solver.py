@@ -2,17 +2,18 @@
 
 Every generator component is expanded over a user-declared time basis times
 spatial monomials, so the ansatz is a coefficient table: one unknown per
-(slot, basis function) pair.  Binding the ansatz into the determining
-equations gives expressions linear and homogeneous in the unknowns; one pass
-over the terms of each cleared numerator collects them over independent
-atoms into sparse rows over QQ, one row per atom.  Their nullspace over QQ
-is the solution basis.  The equations see a boundary term only through its
-derivatives, so a constant one is gauge: the boundary ansatz has no constant
-functions, and the solutions have no pure-gauge directions to quotient out.
+(slot, basis function) pair.  Lifted with the bound Lagrangian into a sparse
+polynomial ring over QQ, it gives equations linear in the unknowns; each is
+multiplied clear of denominators once and its terms are collected over
+independent atoms into sparse rows over QQ, whose nullspace is the solution
+basis.  The equations see a boundary term only through its derivatives, so a
+constant one is gauge: the boundary ansatz has no constant functions, and the
+solutions have no pure-gauge directions to quotient out.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -25,14 +26,16 @@ import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import SDM
+from sympy.polys.rings import ring
 
-from .conditions import candidate_residuals, verify
+from .conditions import residuals, verify
 from .lagrangian import ApproximateGenerator, GeneratorOrder, PerturbedLagrangian
 from .normal import (
     DEFAULT_SEED,
     NonNormalizableError,
     NormalForm,
     normalize,
+    polynomial_argument,
 )
 
 MAX_UNKNOWNS = 10_000
@@ -43,7 +46,7 @@ class SolverError(ValueError):
 
 
 class UnsupportedEquationError(SolverError):
-    """An equation failed to normalize after denominator clearing."""
+    """An expression of the problem is outside the class the solver's ring represents."""
 
 
 @dataclass(frozen=True)
@@ -298,48 +301,118 @@ def _generator(ansatz: Ansatz, name: str, vec: Sequence[sp.Expr]) -> Approximate
     )
 
 
-def _is_atom_power(factor: sp.Expr) -> bool:
-    """A number or an integer power of a symbol."""
-    base, exp = factor.as_base_exp()
-    return factor.is_Rational or (base.is_Symbol and exp.is_Integer)
+class _Ring:
+    """The polynomial ring over QQ of one ``reduce`` call, the lift into it and its derivation.
 
-
-def _cleared(lhs: sp.Expr) -> sp.Expr:
-    """lhs times the lcm of its terms' denominators, expanded.
-
-    Numbers and integer powers of a symbol are atoms of the normal form, so
-    they stay in the terms.  The terms of the expanded lhs are grouped by the
-    rest of their denominator; each group's numerators are scaled by
-    lcm / denominator, which is a polynomial.
+    Generators: U, whose power U^(c+1) stands for unknown c (the equations are
+    linear in the unknowns, so a term holds one power of U and monomials stay
+    short); t, the coordinates and the symbolic parameters; one per sin, cos,
+    exp or ln atom of the input or of an atom's derivative; one inv_p per
+    irreducible factor p of a denominator, with d(inv_p) = -inv_p^2 d(p).
     """
-    groups: dict[sp.Expr, list[sp.Expr]] = {}
-    for term in sp.Add.make_args(sp.expand(lhs)):
-        numer, denom = term.as_numer_denom()
-        kept = sp.Mul(*(f for f in sp.Mul.make_args(denom) if _is_atom_power(f)))
-        groups.setdefault(denom / kept, []).append(numer / kept)
-    lcm = functools.reduce(sp.lcm, groups)
-    return sp.Add(*(sp.expand(sp.cancel(lcm / denom) * sp.Add(*numers))
-                    for denom, numers in groups.items()))
+
+    def __init__(self, ctx, exprs: Iterable[sp.Expr]):
+        self.vars = (ctx.t, *ctx.xs)
+        # atom -> None, denominator -> (content, factors), factor -> its inverse generator
+        self.atoms, self.factored, self.inv = {}, {}, {}
+        for e in exprs:
+            self._scan(e)
+        poly = (*self.vars, *ctx.free_param_symbols())
+        self.poly_end, self.atom_end = 1 + len(poly), 1 + len(poly) + len(self.atoms)
+        self.ring, self.U, *gens = ring([sp.Dummy() for _ in range(self.atom_end + len(self.inv))],
+                                        QQ)
+        self.gen = dict(zip((*poly, *self.atoms), gens))
+        self.inv = dict(zip(self.inv, gens[self.atom_end - 1:]))
+        self.lift = functools.cache(self._lift)
+        # the normal form of the atom product with the exponents ``atoms``
+        self.form = functools.cache(lambda atoms: [(k, QQ.from_sympy(c)) for k, c in normalize(
+            sp.Mul(*(a**k for a, k in zip(self.atoms, atoms)))).terms])
+        self.tables = {}
+        for k, v in enumerate(self.vars, 1):
+            table = self.tables[v] = [(k, self.ring.one)]
+            table += [(i, self.lift(sp.diff(a, v))) for i, a in enumerate(self.atoms, self.poly_end)]
+            # a factor holds no inverse, so its derivative needs the entries above only
+            table += [(i, -g**2 * self.d(self.lift(p), v))
+                      for i, (p, g) in enumerate(self.inv.items(), self.atom_end)]
+
+    def _scan(self, e: sp.Expr) -> None:
+        """Record the atoms of e and of their derivatives, and the factors of denominators."""
+        for a in sp.preorder_traversal(e):
+            if isinstance(a, (sp.sin, sp.cos, sp.exp, sp.log)) and a not in self.atoms:
+                if not polynomial_argument(a.args[0]):
+                    raise UnsupportedEquationError(f"non-polynomial argument in {a}")
+                self.atoms[a] = None
+                for v in self.vars:
+                    self._scan(sp.diff(a, v))
+            elif a.is_Pow and a.exp.is_negative and a.base not in self.factored:
+                c, numer, denom = sp.factor_list(a.base, frac=True)
+                # a factor of the base's own denominator divides: a negative exponent
+                self.factored[a.base] = c, numer + [(p, -k) for p, k in denom]
+                for p, _ in numer + denom:
+                    self._scan(p)
+                self.inv.update((p, None) for p, _ in numer)
+
+    def _lift(self, e: sp.Expr):
+        """The ring image of a scanned expression; UnsupportedEquationError outside the class."""
+        if e.is_Rational:
+            return self.ring(QQ(int(e.p), int(e.q)))
+        if e in self.gen:
+            return self.gen[e]
+        if e.is_Add or e.is_Mul:
+            return (sum if e.is_Add else math.prod)(map(self.lift, e.args))
+        if not (e.is_Pow and e.exp.is_Integer):
+            raise UnsupportedEquationError(f"{'non-integer power' if e.is_Pow else 'factor'} {e}")
+        if e.exp > 0:
+            return self.lift(e.base) ** int(e.exp)
+        c, factors = self.factored[e.base]
+        n = -int(e.exp)
+        return self.lift(1 / c) ** n * math.prod(
+            self.inv[p] ** (k * n) if k > 0 else self.lift(p) ** (-k * n) for p, k in factors)
+
+    def d(self, e, v: sp.Symbol):
+        """The derivation: de/dv summed over the generators that depend on v."""
+        return sum((e.diff(i) * dg for i, dg in self.tables[v] if dg), self.ring.zero)
+
+    def cleared(self, e):
+        """e times p^k, k the top exponent of inv_p in e: a term's inv_p^j becomes p^(k - j)."""
+        start, top = self.atom_end, e.degrees()[self.atom_end:]
+        groups: dict[tuple, dict] = {}
+        for m, c in e.iterterms():
+            groups.setdefault(m[start:], {})[m[:start] + (0,) * len(top)] = c
+        return sum((self.ring.from_dict(terms)
+                    * math.prod(self.lift(p) ** (k - j) for p, k, j in zip(self.inv, top, inverse))
+                    for inverse, terms in groups.items()), self.ring.zero)
 
 
 def reduce(ansatz: Ansatz) -> LinearSystem:
-    """Collect each bound equation over independent atoms.
+    """Collect each bound equation over independent atoms, in ``_Ring``.
 
-    The equations are linear and homogeneous in the unknowns; after clearing
-    denominators, the coefficient of each unknown is normalized and one row
-    is emitted per atom appearing across the equation.
+    There the ``residuals`` of derive and verify build the equations.  A term
+    of a cleared equation, linear in one unknown, adds to the rows of its
+    polynomial part times each atom product in the normal form of its atoms.
     """
-    unknowns = ansatz.unknowns
-    index = {u: col for col, u in enumerate(unknowns)}
+    L, ctx, n = ansatz.L, ansatz.L.ctx, len(ansatz.unknowns)
+    parts = [([[ctx.bind(e) for e in row] for row in m], ctx.bind(V)) for m, V in L.parts]
+    fns = [ctx.bind(column.fn) for column in ansatz.columns]
+    R = _Ring(ctx, [e for m, V in parts for e in (*sum(m, []), V)] + fns)
+    comps = collections.defaultdict(lambda: R.ring.zero)
+    for c, (column, fn) in enumerate(zip(ansatz.columns, fns)):
+        comps[column.slot] += R.U ** (c + 1) * R.lift(fn)
+    orders = range(L.order + 1)
+    eqs = residuals(ctx, [([[R.lift(e) for e in row] for row in m], R.lift(V)) for m, V in parts],
+                    [comps["xi", A, 0] for A in orders],
+                    [[comps["eta", A, i] for i in range(ctx.dimension)] for A in orders],
+                    [comps["f", A, 0] for A in orders], R.d)
     rows: list[dict] = []
-    for eq in candidate_residuals(ansatz.L, _generator(ansatz, "ansatz", unknowns)):
-        try:
-            rows.extend(linear_rows(_cleared(eq.lhs), index, lambda c: normalize(c).terms))
-        except NonNormalizableError as exc:
-            raise UnsupportedEquationError(
-                f"order {eq.order} {eq.kind} {eq.component}: {exc}"
-            ) from exc
-    return LinearSystem(ansatz, SDM(dict(enumerate(rows)), (len(rows), len(unknowns)), QQ))
+    for eq in eqs:
+        acc = collections.defaultdict(lambda: collections.defaultdict(int))
+        for m, c in R.cleared(eq.lhs).iterterms():
+            if not 0 < m[0] <= n:
+                raise SolverError(f"internal: a term of {eq.kind} is not linear in the unknowns")
+            for key, v in R.form(m[R.poly_end:R.atom_end]):
+                acc[m[1:R.poly_end], key][m[0] - 1] += c * v
+        rows.extend(r for r in ({c: v for c, v in row.items() if v} for row in acc.values()) if r)
+    return LinearSystem(ansatz, SDM(dict(enumerate(rows)), (len(rows), n), QQ))
 
 
 def nullspace(system: LinearSystem, tol: float = 1e-10,

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -9,6 +10,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 import noetherkit.cli
+import noetherkit.dynamics
 from noetherkit import fixture_path, load_problem
 from noetherkit.cli import main
 
@@ -219,6 +221,14 @@ class TestSolve:
         assert err.startswith("unsupported: ")
         assert err.count("\n") == 1
 
+    def test_non_polynomial_trig_argument_unsupported(self, tmp_path, capsys):
+        """sin(1/x) is an atom outside the ring: its argument is no polynomial."""
+        problem = fixture_probe(tmp_path, ("V1",), "sin(1/x)", fixture="free_particle.json")
+        assert run("solve", problem) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("unsupported: non-polynomial argument in sin(1/x)")
+        assert err.count("\n") == 1
+
 
 @pytest.mark.parametrize("command", ["integrals", "simulate"])
 @pytest.mark.parametrize("candidate", [NOT_A_SYMMETRY, OPEN_DIFFERENTIAL],
@@ -282,6 +292,22 @@ class TestSimulate:
             lines = (tmp_path / f"traj_{k}.csv").read_text().splitlines()
             assert lines[0] == "t,x1,x2,v1,v2,Zrot"
             assert len(lines) == 4002
+
+    def test_csv_evaluates_each_integral_once(self, tmp_path, sim_problem, monkeypatch):
+        """The drift and the CSV column of an integral share one evaluation per trajectory."""
+        calls = collections.Counter()
+        original = noetherkit.dynamics.evaluate_integral
+
+        def counted(L, integrals, traj):
+            calls[(tuple(integrals), traj.epsilon)] += 1
+            return original(L, integrals, traj)
+
+        monkeypatch.setattr(noetherkit.dynamics, "evaluate_integral", counted)
+        monkeypatch.setattr(noetherkit.cli, "evaluate_integral", counted)
+        assert run("simulate", sim_problem, "--csv", tmp_path / "traj.csv") == 0
+        # one integral (Zrot) on two trajectories
+        assert sorted(eps for _, eps in calls) == [0.01, 0.02]
+        assert set(calls.values()) == {1}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("epsilons, excluded", [
@@ -430,6 +456,19 @@ class TestInputErrors:
         assert err.startswith(f"input error: {json_path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("powers, index", [
+        (["x"], 0), (["x^2"], 0), (["2"], 0), (["1/x", "1/x"], 1), (["1/x", "3/x"], 1),
+        (["1/x", "t/x"], 1),
+    ], ids=["monomial", "f-monomial", "number", "repeat", "multiple", "time"])
+    def test_inverse_power_without_a_new_direction(self, tmp_path, capsys, powers, index):
+        """free_particle with ["x"] used to report 22 generators, 12 of them zero."""
+        problem = fixture_probe(tmp_path, ("ansatz", "inverse_powers"), powers,
+                                fixture="free_particle.json")
+        assert run("solve", problem) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: ansatz.inverse_powers[{index}]: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["verify", "solve"])
     @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
     def test_tolerance_finite_and_positive(self, capsys, command, tolerance):
@@ -574,6 +613,37 @@ def test_mutated_expression_never_raises(data):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = run(command, problem)
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+
+
+# hostile ansatz entries: ln and inverse atoms, a trig product, a fractional power
+ANSATZ_MUTATIONS = ["ln(t)", "1/t", "ln(t^2+1)", "sin(t)^2", "exp(t)*sin(t)", "1/(1+t)",
+                    "x^(1/2)"]
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=30_000)
+def test_mutated_ansatz_never_raises(data):
+    """solve on a shipped fixture with a trimmed basis and one hostile ansatz or potential entry."""
+    fixture = data.draw(st.sampled_from(["free_particle.json", "case2_solver.json",
+                                         "case5.json"]))
+    doc = json.loads(fixture_path(fixture).read_text())
+    doc["ansatz"]["time_basis"] = ["1", "t"]
+    mutation = data.draw(st.sampled_from(ANSATZ_MUTATIONS))
+    field = data.draw(st.sampled_from(["time_basis", "V0", "V1", "inverse_powers"]))
+    if field == "time_basis":
+        doc["ansatz"]["time_basis"].append(mutation)
+    elif field == "inverse_powers":
+        doc["ansatz"]["inverse_powers"] = [mutation]
+    else:
+        doc[field] = data.draw(st.sampled_from([mutation, f"({doc.get(field, '0')}) + {mutation}"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "mutated.json"
+        problem.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("solve", problem)
     assert code in {0, 1, 2, 3}
     assert "Traceback" not in err.getvalue()
 

@@ -372,6 +372,62 @@ class TestOnePassAssembly:
         self.check(p.L, AnsatzSpec((sp.Integer(1), p.ctx.t), p.ansatz.spatial_degree,
                                    p.ansatz.include_inverse_powers))
 
+    def test_trig_time_basis(self):
+        ctx = Context(("x",))
+        x, t = ctx.xs[0], ctx.t
+        L = flat_lagrangian(ctx, x**2 / 2, x**3)
+        self.check(L, AnsatzSpec((sp.Integer(1), sp.sin(t), sp.cos(t))))
+
+    def test_trig_products_of_time_and_space(self):
+        """cos(2t) cos(x) in V1 meets sin(x) and cos(x) from V0: product-to-sum keys."""
+        ctx = Context(("x",))
+        x, t = ctx.xs[0], ctx.t
+        L = flat_lagrangian(ctx, -sp.cos(x), sp.cos(2 * t) * sp.cos(x))
+        self.check(L, AnsatzSpec((sp.Integer(1), t)))
+
+    def test_exp_time_basis(self):
+        """exp(t/3) exp(-t/3) is 1 and exp(t/3)^2 is exp(2t/3): merged exp keys."""
+        ctx = Context(("x",))
+        x, t = ctx.xs[0], ctx.t
+        L = flat_lagrangian(ctx, x**2 / 2, x * sp.exp(t / 3))
+        self.check(L, AnsatzSpec((sp.Integer(1), sp.exp(t / 3), sp.exp(-t / 3),
+                                  sp.exp(2 * t / 3))))
+
+    def test_exp_potential(self):
+        ctx = Context(("x",))
+        x, t = ctx.xs[0], ctx.t
+        self.check(flat_lagrangian(ctx, sp.exp(x) + t * x, t * x**3), AnsatzSpec((sp.Integer(1), t)))
+
+    def test_inverse_time_and_log(self):
+        """1/t and t ln t in the basis, 1/x among the monomials: ln's derivative is 1/t."""
+        ctx = Context(("x",))
+        x, t = ctx.xs[0], ctx.t
+        L = flat_lagrangian(ctx, -1 / x**2, x / t)
+        self.check(L, AnsatzSpec((sp.Integer(1), 1 / t, t * sp.log(t)), spatial_degree=1,
+                                 include_inverse_powers=(1 / x,)))
+
+    def test_denominator_with_an_atom(self):
+        """V0 = 1/(2 + cos x): the factor's derivative goes through the atom's, -sin x."""
+        ctx = Context(("x",))
+        x, t = ctx.xs[0], ctx.t
+        self.check(flat_lagrangian(ctx, 1 / (2 + sp.cos(x)), 0), AnsatzSpec((sp.Integer(1), t)))
+
+    def test_polynomial_potential(self):
+        ctx = Context(("x",))
+        x, t = ctx.xs[0], ctx.t
+        L = flat_lagrangian(ctx, x**4 + x**2, t * x**3)
+        self.check(L, AnsatzSpec((sp.Integer(1), t, t**2), spatial_degree=2))
+
+    def test_symbolic_parameters(self, inverse_square):
+        """Symbolic a and b stay in the rows, keyed like coordinates."""
+        t = inverse_square.ctx.t
+        self.check(inverse_square, AnsatzSpec((sp.Integer(1), t, t**2)))
+
+    def test_full_case2_solver(self):
+        """1/t, 1/t^2 and t^k ln t in the basis of the shipped fixture."""
+        p = load_problem(fixture_path("case2_solver.json"))
+        self.check(p.L, p.ansatz)
+
 
 @pytest.fixture(scope="module")
 def free_particle_basis():
