@@ -21,8 +21,9 @@ from .conditions import (
     recover_boundary_terms,
     verify,
 )
-from .conservation import NumericOnly, total_integral
-from .dynamics import IntegrationError, drift, evaluate_integral, fit_slope, integrate, write_csv
+from .conservation import total_integral
+from .dynamics import (IntegrationError, SymbolicParameterError, drift, evaluate_integral,
+                       fit_slope, integrate, require_numeric, write_csv)
 from .geometry import GeometryError, UnsupportedMetricError, solve_homothetic
 from .normal import DEFAULT_SEED, NonNormalizableError
 from .parsing import print_expression
@@ -228,12 +229,11 @@ def cmd_simulate(problem: Problem, args) -> tuple[dict, int]:
         if X.quarantined:
             continue
         integrals[X.name] = _conservation_law(problem, X, args)
+        require_numeric(problem.ctx, [I.expr for I in integrals[X.name]], f"I[{X.name}]")
     records = []
     by_integral = {name: [] for name in integrals}
     for k, eps in enumerate(epsilons):
-        traj = integrate(
-            problem.L, sim.initial, sim.t_end, sim.dt, eps, sim.t_start
-        )
+        traj = integrate(problem.L, sim.initial, sim.t_end, sim.dt, eps, sim.t_start)
         columns = {}  # with a CSV, each integral is evaluated here once for both uses
         for name, comps in integrals.items():
             if args.csv:
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (UnsupportedMetricError, UnsupportedEquationError,
-            NonNormalizableError, NumericOnly) as exc:
+            NonNormalizableError, SymbolicParameterError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except CheckFailed as exc:

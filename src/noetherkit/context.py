@@ -7,6 +7,7 @@ an exact rational value, or left symbolic).  The time variable is always t.
 
 from __future__ import annotations
 
+import keyword
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
@@ -15,6 +16,9 @@ import sympy as sp
 
 SYMBOLIC = "symbolic"
 TIME = "t"
+# no coordinate takes these names: the grammar's functions, which it cannot
+# reference as symbols, and the names sympy's math and numpy printers emit
+RESERVED = frozenset({"sin", "cos", "exp", "ln", "log", "sqrt", "e", "pi", "math", "numpy"})
 
 ParamValue = Union[int, float, Fraction, sp.Rational, str]
 
@@ -48,6 +52,12 @@ class Context:
         object.__setattr__(self, "coordinates", coords)
         if len(coords) < 1:
             raise ContextError("dimension must be >= 1")
+        for c in coords:
+            # the grammar's identifiers are exactly the ASCII Python identifiers
+            if not (c.isascii() and c.isidentifier()) or keyword.iskeyword(c) or c in RESERVED:
+                raise ContextError(
+                    f"{c!r} is not a coordinate name: use letters, digits and _, not a "
+                    f"Python keyword nor one of {', '.join(sorted(RESERVED))}")
         velocities = tuple(c + "dot" for c in coords)
         names = [TIME, *coords, *velocities, *self.parameters]
         if len(set(names)) != len(names):

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
+from sympy.printing.pycode import PythonCodePrinter
 
 from .conservation import EPSILON, FirstIntegral, NumericOnly, accelerations
+from .context import Context
 from .lagrangian import PerturbedLagrangian
 
 
@@ -18,10 +21,17 @@ from .lagrangian import PerturbedLagrangian
 MAX_STEPS = 10**7
 # write_csv converts this many rows at a time to Python floats
 CSV_BLOCK_ROWS = 4096
+# lambdify's printer for modules=["math"]: bare names such as sin, resolved in math
+_MATH_PRINTER = PythonCodePrinter({"fully_qualified_modules": False, "inline": True,
+                                   "allow_unknown_functions": True, "user_functions": {}})
 
 
 class IntegrationError(RuntimeError):
     pass
+
+
+class SymbolicParameterError(ValueError):
+    """A symbolic parameter is left where simulate evaluates in floats."""
 
 
 @dataclass(frozen=True)
@@ -40,55 +50,63 @@ class DriftRecord:
     t_span: tuple[float, float]
 
 
+def require_numeric(ctx: Context, exprs: Sequence[sp.Expr], what: str) -> None:
+    """Raise SymbolicParameterError if ``exprs`` hold a symbol that has no float value."""
+    extra = set().union(*(e.free_symbols for e in exprs)) - {ctx.t, *ctx.xs, *ctx.vs, EPSILON}
+    if extra:
+        raise SymbolicParameterError(f"symbolic parameter {', '.join(sorted(map(str, extra)))} "
+                                     f"in {what}: simulate needs a number for every parameter")
+
+
 def _step_function(L: PerturbedLagrangian, epsilon: float):
     """One RK4 step as straight-line scalar code: step(t, dt, *state) -> state.
 
-    The generated source keeps the arithmetic of the textbook update with
-    stages k, l, p, q (``s + dt / 2 * k``, ``s + dt / 2 * l``, ``s + dt * p``,
-    then ``s + dt / 6 * (k + 2 * l + 2 * p + q)``) operation for operation,
-    so trajectories are bit-identical to a loop over lists; only the list and
-    call overhead is gone.
+    Each acceleration is printed once, as ``lambdify(..., modules=["math"])``
+    prints it, and inlined in each of the four stages under the problem's own
+    names (``t``, ``x``, ``xdot``, ...), which the stage binds to its time and
+    state; the step's other names start with more underscores than any
+    problem name.  The arithmetic is the textbook update with stages k, l, p,
+    q (``s + dt / 2 * k``, ``s + dt / 2 * l``, ``s + dt * p``, then
+    ``s + dt / 6 * (k + 2 * l + 2 * p + q)``) operation for operation, so
+    trajectories are bit-identical to a loop over lists that calls the
+    lambdified accelerations.
     """
     ctx = L.ctx
-    n = ctx.dimension
-    try:
-        accel = accelerations(L)
-    except NumericOnly as exc:
-        raise IntegrationError(
-            f"mass matrix not symbolically invertible: {exc}"
-        ) from exc
+    # solved once per Lagrangian, not once per epsilon: kept in its instance
+    # dict, as functools.cached_property keeps a value on a frozen dataclass
+    solved = vars(L).get("_accelerations")
+    if solved is None:
+        try:
+            solved = accelerations(L)
+        except NumericOnly as exc:
+            raise IntegrationError(f"mass matrix not symbolically invertible: {exc}") from exc
+        require_numeric(ctx, solved, "the equations of motion")
+        vars(L)["_accelerations"] = solved
     eps = sp.Rational(str(epsilon))
-    args = (ctx.t, *ctx.xs, *ctx.vs)
-    namespace = {
-        f"a{i}": sp.lambdify(args, a.subs(EPSILON, eps), modules=["math"])
-        for i, a in enumerate(accel)
-    }
-    m = 2 * n
-    s = [f"s{j}" for j in range(m)]
-    y = [f"y{j}" for j in range(m)]
-
-    def stage(k, t, state):
-        # k0..k{m-1} = derivative of `state` at time t
-        return [f"    {k}{j} = {state[n + j]}" for j in range(n)] + [
-            f"    {k}{n + i} = a{i}({t}, {', '.join(state)})" for i in range(n)
-        ]
-
-    def shifted(h, k):
-        return [f"    y{j} = s{j} + {h} * {k}{j}" for j in range(m)]
-
-    lines = [
-        f"def step(t, dt, {', '.join(s)}):",
-        "    h = dt / 2",
-        "    th = t + h",
-        *stage("k", "t", s), *shifted("h", "k"),
-        *stage("l", "th", y), *shifted("h", "l"),
-        *stage("p", "th", y), *shifted("dt", "p"),
-        *stage("q", "t + dt", y),
-        "    h = dt / 6",
-        *(f"    s{j} = s{j} + h * (k{j} + 2 * l{j} + 2 * p{j} + q{j})"
-          for j in range(m)),
-        f"    return ({', '.join(s)},)",
-    ]
+    accel = [a.subs(EPSILON, eps) for a in solved]
+    rhs = [_MATH_PRINTER.doprint(a) for a in accel]
+    used = set().union(*(a.free_symbols for a in accel))
+    bound = [(i, str(v)) for i, v in enumerate((ctx.t, *ctx.xs, *ctx.vs)) if v in used]
+    u = "_" * (1 + max(len(name) - len(name.lstrip("_")) for name in ctx.names()))
+    n = ctx.dimension
+    s = [f"{u}s{j}" for j in range(2 * n)]
+    y = [f"{u}y{j}" for j in range(2 * n)]
+    lines = [f"def step({u}t, {u}dt, {', '.join(s)}):",
+             f"    {u}h = {u}dt / 2",
+             f"    {u}th = {u}t + {u}h"]
+    # each stage: bind the problem's names, k0..k{2n-1} = the derivative there, next state
+    for k, t, state, h in (("k", f"{u}t", s, f"{u}h"), ("l", f"{u}th", y, f"{u}h"),
+                           ("p", f"{u}th", y, f"{u}dt"), ("q", f"{u}t + {u}dt", y, None)):
+        values = (t, *state)
+        lines += [f"    {name} = {values[i]}" for i, name in bound]
+        lines += [f"    {u}{k}{j} = {state[n + j]}" for j in range(n)]
+        lines += [f"    {u}{k}{n + i} = {r}" for i, r in enumerate(rhs)]
+        lines += [f"    {y[j]} = {s[j]} + {h} * {u}{k}{j}" for j in range(2 * n) if h]
+    lines.append(f"    {u}h = {u}dt / 6")
+    lines += [f"    {s[j]} = {s[j]} + {u}h * ({u}k{j} + 2 * {u}l{j} + 2 * {u}p{j} + {u}q{j})"
+              for j in range(2 * n)]
+    lines.append(f"    return ({', '.join(s)},)")
+    namespace = {**vars(math), "__name__": __name__}
     exec("\n".join(lines), namespace)
     return namespace["step"]
 
@@ -129,10 +147,7 @@ def integrate(
     steps = max(1, int(round(span)))
     # keep the grid uniform AND land exactly on t_end
     dt = (t_end - t_start) / steps
-    times = np.empty(steps + 1)
-    states = np.empty((steps + 1, 2 * n))
-    times[0] = t_start
-    states[0] = state
+    flat = array("d", state)
     isfinite = math.isfinite
     t = t_start
     for k in range(steps):
@@ -142,12 +157,17 @@ def integrate(
             raise IntegrationError(
                 f"step {k} at t={t}: {exc}; state={list(state)}"
             ) from exc
-        if not all(map(isfinite, state)):
+        # a finite sum has finite terms; an overflowing sum of finite terms is rare
+        if not (isfinite(sum(state)) or all(map(isfinite, state))):
             raise IntegrationError(f"non-finite state at step {k+1}, t={t+dt}")
         t = t_start + (k + 1) * dt
-        times[k + 1] = t
-        states[k + 1] = state
-    return Trajectory(times, states, float(epsilon))
+        flat.extend(state)
+    # t_start + k * dt for every k, as the loop computes t
+    times = np.arange(steps + 1, dtype=float)
+    times *= dt
+    times += t_start
+    times[0] = t_start
+    return Trajectory(times, np.frombuffer(flat).reshape(steps + 1, 2 * n), float(epsilon))
 
 
 def evaluate_integral(
@@ -156,21 +176,23 @@ def evaluate_integral(
 ) -> np.ndarray:
     """Folded value of a conservation law along a trajectory.
 
-    Each component is evaluated once on the whole trajectory with numpy
-    (printed by sympy's NumPyPrinter, so no ``from numpy import *``), and the
-    components are summed in order.  Raises IntegrationError at the first
-    time where the value is not finite.
+    Each component is printed by sympy's ``NumPyPrinter()`` (fully qualified
+    ``numpy.`` names) into one generated function that returns all of them,
+    evaluated once on the whole trajectory; the components are summed in
+    order.  Raises IntegrationError at the first time where the value is not
+    finite.
     """
     ctx = L.ctx
     eps = sp.Rational(str(traj.epsilon))
-    args = (ctx.t, *ctx.xs, *ctx.vs)
-    columns = (traj.times, *traj.states.T)
+    printer = NumPyPrinter()
+    terms = "".join(f"{printer.doprint(I.folded().subs(EPSILON, eps))}, " for I in integrals)
+    namespace = {"numpy": np}
+    exec(f"def components({', '.join(map(str, (ctx.t, *ctx.xs, *ctx.vs)))}):\n"
+         f"    return ({terms})", namespace)
     out = np.zeros(len(traj.times))
     with np.errstate(all="ignore"):
-        for I in integrals:
-            fn = sp.lambdify(args, I.folded().subs(EPSILON, eps),
-                             modules=[{"numpy": np}], printer=NumPyPrinter)
-            out = out + fn(*columns)
+        for value in namespace["components"](traj.times, *traj.states.T):
+            out = out + value
     bad = ~np.isfinite(out)
     if bad.any():
         t = traj.times[np.argmax(bad)]
@@ -215,20 +237,11 @@ def scaling_exponent(
     dt: float,
     noise_floor: float = 1e-12,
 ) -> ScalingResult:
-    """Least-squares slope of log max drift against log epsilon.
-
-    For a valid order-gamma law the slope is about gamma + 1.  Drifts at the
-    integrator noise floor are excluded; with fewer than two usable points the
-    exponent is None.
-    """
-    if isinstance(integrals, FirstIntegral):
-        integrals = [integrals]
+    """``fit_slope`` of the drifts along one trajectory per epsilon; for a
+    valid order-gamma law the slope is about gamma + 1."""
     if len(epsilons) < 2:
         raise ValueError("need at least two epsilon values")
-    records = []
-    for eps in epsilons:
-        traj = integrate(L, initial, t_end, dt, eps)
-        records.append(drift(L, integrals, traj))
+    records = [drift(L, integrals, integrate(L, initial, t_end, dt, eps)) for eps in epsilons]
     return fit_slope(records, noise_floor)
 
 

@@ -13,6 +13,8 @@ import noetherkit.cli
 import noetherkit.dynamics
 from noetherkit import fixture_path, load_problem
 from noetherkit.cli import main
+from noetherkit.context import RESERVED
+from noetherkit.parsing import FUNCTIONS
 
 
 def run(*argv):
@@ -328,6 +330,37 @@ class TestSimulate:
         else:
             assert 1.7 <= scaling["exponent"] <= 2.3
 
+    @pytest.mark.parametrize("epsilons", [["0.02"], ["0.02", "0.01", "0.005"]])
+    def test_accelerations_solved_once(self, sim_problem, monkeypatch, epsilons):
+        """One solve of the equations of motion per command, not one per epsilon."""
+        calls = []
+        original = noetherkit.dynamics.accelerations
+
+        def counted(L):
+            calls.append(L)
+            return original(L)
+
+        monkeypatch.setattr(noetherkit.dynamics, "accelerations", counted)
+        argv = [a for eps in epsilons for a in ("--epsilon", eps)]
+        assert run("simulate", sim_problem, *argv) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("candidates, what", [
+        ([{"name": "Zenergy", "xi": ["1", "0"], "eta": [["0"], ["0"]], "f": ["0", "0"]}],
+         "I[Zenergy]"),
+        ([], "the equations of motion"),
+    ], ids=["integral", "accelerations"])
+    def test_symbolic_parameter_unsupported(self, tmp_path, capsys, candidates, what):
+        """A symbolic parameter has no float value: exit 3, as for killing."""
+        doc = json.loads(fixture_path("oscillator.json").read_text())
+        doc.update(parameters={"a": "symbolic"}, V1="a*x^2", candidates=candidates)
+        problem = tmp_path / "symbolic.json"
+        problem.write_text(json.dumps(doc))
+        assert run("simulate", problem) == 3
+        assert capsys.readouterr().err == (
+            f"unsupported: symbolic parameter a in {what}: "
+            "simulate needs a number for every parameter\n")
+
     def test_epsilon_override(self, tmp_path, sim_problem):
         code, report = run_report(
             tmp_path, "simulate", sim_problem, "--epsilon", "0.05"
@@ -361,6 +394,61 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite input")
         assert "Traceback" not in err
+
+
+def renamed_oscillator(tmp_path, name):
+    """A short oscillator run with an exp and ln perturbation, its coordinate called ``name``."""
+    x = name
+    doc = {
+        "coordinates": [x], "metric": [["1"]], "V0": f"{x}^2/2",
+        "V1": f"exp({x}/2) + ln(1 + {x}^2) + {x}*cos(t)",
+        "candidates": [{"name": "Z", "xi": ["0", "0"], "eta": [["0"], ["sin(t)"]],
+                        "f": ["0", f"{x}*cos(t)"]}],
+        "simulation": {"initial": [0.5, 0.1], "t_end": 2.0, "dt": 0.01,
+                       "epsilons": [0.1, 0.05]},
+    }
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# names the generated step must keep apart from its own locals (which start with
+# "_") and from the names the printers emit ("log" and "sqrt" through math,
+# "numpy" in the integrals); the grammar can reference each of the first ones
+SAFE_NAMES = ["_s0", "_k0", "_dt", "_h", "_t", "__y1", "s0", "k1", "h", "dt", "th", "step",
+              "xdotdot", "out", "components", "sinx", "E", "match"]
+# Python keywords, names the grammar cannot reference, and printed names
+REJECTED_NAMES = ["lambda", "None", "if", "x y", "1x", "x-y", "", "\u03be", "sin", "cos", "exp",
+                  "ln", "log", "sqrt", "e", "pi", "math", "numpy"]
+
+
+class TestCoordinateNames:
+    @pytest.fixture
+    def reference(self, tmp_path):
+        csv = tmp_path / "x.csv"
+        code, report = run_report(tmp_path, "simulate", renamed_oscillator(tmp_path, "x"),
+                                  "--csv", csv, name="x.json")
+        assert code == 0
+        return report["drift_records"], [(tmp_path / f"x_{k}.csv").read_bytes() for k in (0, 1)]
+
+    @pytest.mark.parametrize("name", SAFE_NAMES)
+    def test_same_trajectory_and_drift(self, tmp_path, reference, name):
+        csv = tmp_path / "renamed.csv"
+        code, report = run_report(tmp_path, "simulate", renamed_oscillator(tmp_path, name),
+                                  "--csv", csv)
+        assert code == 0
+        assert report["drift_records"] == reference[0]
+        assert [(tmp_path / f"renamed_{k}.csv").read_bytes() for k in (0, 1)] == reference[1]
+
+    @pytest.mark.parametrize("name", REJECTED_NAMES)
+    def test_rejected_at_load(self, tmp_path, capsys, name):
+        assert run("simulate", renamed_oscillator(tmp_path, name)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: coordinates: {name!r} is not a coordinate name")
+        assert err.count("\n") == 1
+
+    def test_grammar_functions_reserved(self):
+        assert set(FUNCTIONS) <= RESERVED
 
 
 class TestKilling:

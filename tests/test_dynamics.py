@@ -3,6 +3,7 @@ import math
 import numpy as np
 import sympy as sp
 import pytest
+from sympy.printing.numpy import NumPyPrinter
 
 from noetherkit import (
     ApproximateGenerator,
@@ -11,7 +12,9 @@ from noetherkit import (
     Metric,
     PerturbedLagrangian,
     first_integral,
+    fixture_path,
     hamiltonian,
+    load_problem,
     total_integral,
 )
 from noetherkit import dynamics
@@ -40,8 +43,9 @@ def energy_integral(L):
     return FirstIntegral(0, hamiltonian(L, "zeroth"), "energy", 0)
 
 
-def reference_rk4(L, initial, t_end, dt, epsilon=0.0, t_start=0.0):
-    """Per-step RK4 over Python lists: the arithmetic integrate must match."""
+def reference_rows(L, initial, t_end, dt, epsilon=0.0, t_start=0.0):
+    """Per-step RK4 over Python lists, one (t, state) row at a time: the
+    arithmetic integrate must match."""
     ctx = L.ctx
     n = ctx.dimension
     args = (ctx.t, *ctx.xs, *ctx.vs)
@@ -55,8 +59,8 @@ def reference_rk4(L, initial, t_end, dt, epsilon=0.0, t_start=0.0):
     steps = max(1, int(round((t_end - t_start) / dt)))
     dt = (t_end - t_start) / steps
     state = [float(v) for v in initial]
-    times, states = [t_start], [state]
     t = t_start
+    yield t, state
     for k in range(steps):
         k1 = rhs(t, state)
         k2 = rhs(t + dt / 2, [s + dt / 2 * d for s, d in zip(state, k1)])
@@ -67,8 +71,11 @@ def reference_rk4(L, initial, t_end, dt, epsilon=0.0, t_start=0.0):
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)
         ]
         t = t_start + (k + 1) * dt
-        times.append(t)
-        states.append(state)
+        yield t, state
+
+
+def reference_rk4(L, initial, t_end, dt, epsilon=0.0, t_start=0.0):
+    times, states = zip(*reference_rows(L, initial, t_end, dt, epsilon, t_start))
     return np.array(times), np.array(states)
 
 
@@ -83,6 +90,34 @@ def reference_values(L, integrals, traj):
         sum(fn(float(t), *map(float, state)) for fn in fns)
         for t, state in zip(traj.times, traj.states)
     ])
+
+
+def reference_failure(L, initial, t_end, dt):
+    """integrate's message for the step where reference_rows first raises,
+    or for its first non-finite row."""
+    dt_grid = t_end / max(1, int(round(t_end / dt)))
+    try:
+        for k, (t, state) in enumerate(reference_rows(L, initial, t_end, dt)):
+            if not all(map(math.isfinite, state)):
+                return f"non-finite state at step {k}, t={t_prev + dt_grid}"
+            t_prev, state_prev = t, state
+    except OverflowError as exc:
+        return f"step {k} at t={t_prev}: {exc}; state={state_prev}"
+    raise AssertionError("the reference run stays finite")
+
+
+def reference_numpy_values(L, integrals, traj):
+    """The folded sum as evaluate_integral computed it with lambdify and NumPyPrinter."""
+    ctx = L.ctx
+    args = (ctx.t, *ctx.xs, *ctx.vs)
+    eps = sp.Rational(str(traj.epsilon))
+    out = np.zeros(len(traj.times))
+    with np.errstate(all="ignore"):
+        for I in integrals:
+            fn = sp.lambdify(args, I.folded().subs(EPSILON, eps),
+                             modules=[{"numpy": np}], printer=NumPyPrinter)
+            out = out + fn(traj.times, *traj.states.T)
+    return out
 
 
 def curved_three_body():
@@ -175,11 +210,28 @@ class TestIntegrate:
             integrate(oscillator, [1.0], 1.0, 0.1)
 
     def test_blowup_detected(self):
+        # x^3 of the acceleration 4 x^3 overflows: a step raises
         ctx = Context(("x",))
-        x = ctx.xs[0]
-        L = flat_lagrangian(ctx, -(x**4), 0)
-        with pytest.raises(IntegrationError):
+        L = flat_lagrangian(ctx, -(ctx.xs[0]**4), 0)
+        with pytest.raises(IntegrationError) as info:
             integrate(L, [1.0, 1.0], 50.0, 0.1)
+        assert str(info.value) == reference_failure(L, [1.0, 1.0], 50.0, 0.1)
+
+    def test_non_finite_state_detected(self):
+        # 2 x overflows to inf without raising: the state turns non-finite
+        ctx = Context(("x",))
+        L = flat_lagrangian(ctx, -(ctx.xs[0]**2), 0)
+        with pytest.raises(IntegrationError) as info:
+            integrate(L, [1e300, 0.0], 20.0, 0.5)
+        assert str(info.value) == reference_failure(L, [1e300, 0.0], 20.0, 0.5)
+
+    def test_finite_state_with_overflowing_sum(self):
+        """A state whose sum overflows is finite; only its entries are checked."""
+        ctx = Context(("x", "y"))
+        L = flat_lagrangian(ctx, 0, 0)
+        traj = integrate(L, [1.7e308, 1.7e308, 1.0, 1.0], 1.0, 0.5)
+        assert np.isfinite(traj.states).all()
+        assert not math.isfinite(sum(traj.states[-1].tolist()))
 
     def test_deterministic(self, oscillator):
         a = integrate(oscillator, [1.0, 0.0], 5.0, 1e-2)
@@ -216,6 +268,27 @@ class TestStraightLineStep:
         run[field] = [1.0, value] if field == "initial" else value
         with pytest.raises(IntegrationError, match="non-finite input"):
             integrate(oscillator, **run)
+
+
+class TestBitIdentity:
+    """On the shipped simulations at 2% of t_end, every epsilon: integrate
+    equals reference_rk4 and evaluate_integral the lambdified numpy sum."""
+
+    @pytest.mark.parametrize("fixture", ["case4", "oscillator"])
+    def test_fixture(self, fixture):
+        problem = load_problem(fixture_path(f"{fixture}.json"))
+        L, sim = problem.L, problem.simulation
+        t_end = sim.t_start + 0.02 * (sim.t_end - sim.t_start)
+        laws = [total_integral(L, X, assume_verified=True)
+                for X in problem.candidates if not X.quarantined]
+        for eps in sim.epsilons:
+            traj = integrate(L, sim.initial, t_end, sim.dt, eps, sim.t_start)
+            times, states = reference_rk4(L, sim.initial, t_end, sim.dt, eps, sim.t_start)
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, states)
+            for law in laws:
+                assert np.array_equal(evaluate_integral(L, law, traj),
+                                      reference_numpy_values(L, law, traj))
 
 
 class TestEvaluateIntegral:
