@@ -102,8 +102,12 @@ def accelerations(L: PerturbedLagrangian) -> list[sp.Expr]:
     """xddot^i from the Euler-Lagrange equations of L0 + eps L1.
 
     M a = -grad V - (dM/dt along the flow) v with M = g + eps h; raises
-    NumericOnly when M has no symbolic inverse.
+    NumericOnly when M has no symbolic inverse.  Solved once per Lagrangian:
+    the list is kept in L's instance dict, as functools.cached_property keeps
+    a value on a frozen dataclass.
     """
+    if "_accelerations" in vars(L):
+        return vars(L)["_accelerations"]
     ctx = L.ctx
     n = ctx.dimension
     vs = ctx.vs
@@ -123,7 +127,8 @@ def accelerations(L: PerturbedLagrangian) -> list[sp.Expr]:
         Minv = M.inv()
     except (sp.matrices.exceptions.NonInvertibleMatrixError, ValueError) as exc:
         raise NumericOnly(str(exc)) from exc
-    return [sp.cancel(ctx.bind(a)) for a in Minv * rhs]
+    vars(L)["_accelerations"] = [sp.cancel(ctx.bind(a)) for a in Minv * rhs]
+    return vars(L)["_accelerations"]
 
 
 @dataclass(frozen=True)

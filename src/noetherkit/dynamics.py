@@ -72,16 +72,11 @@ def _step_function(L: PerturbedLagrangian, epsilon: float):
     lambdified accelerations.
     """
     ctx = L.ctx
-    # solved once per Lagrangian, not once per epsilon: kept in its instance
-    # dict, as functools.cached_property keeps a value on a frozen dataclass
-    solved = vars(L).get("_accelerations")
-    if solved is None:
-        try:
-            solved = accelerations(L)
-        except NumericOnly as exc:
-            raise IntegrationError(f"mass matrix not symbolically invertible: {exc}") from exc
-        require_numeric(ctx, solved, "the equations of motion")
-        vars(L)["_accelerations"] = solved
+    try:
+        solved = accelerations(L)  # solved once per Lagrangian, not once per epsilon
+    except NumericOnly as exc:
+        raise IntegrationError(f"mass matrix not symbolically invertible: {exc}") from exc
+    require_numeric(ctx, solved, "the equations of motion")
     eps = sp.Rational(str(epsilon))
     accel = [a.subs(EPSILON, eps) for a in solved]
     rhs = [_MATH_PRINTER.doprint(a) for a in accel]
@@ -237,8 +232,12 @@ def scaling_exponent(
     dt: float,
     noise_floor: float = 1e-12,
 ) -> ScalingResult:
-    """``fit_slope`` of the drifts along one trajectory per epsilon; for a
-    valid order-gamma law the slope is about gamma + 1."""
+    """Least-squares slope of log max drift against log epsilon.
+
+    For a valid order-gamma law the slope is about gamma + 1.  Drifts at the
+    integrator noise floor are excluded; with fewer than two usable points the
+    exponent is None.
+    """
     if len(epsilons) < 2:
         raise ValueError("need at least two epsilon values")
     records = [drift(L, integrals, integrate(L, initial, t_end, dt, eps)) for eps in epsilons]

@@ -215,7 +215,7 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
     n = ctx.dimension
     xs = ctx.xs
     # imported here: the solver imports this module through lagrangian
-    from .solver import MAX_UNKNOWNS, _spatial_monomials, rational_nullspace
+    from .solver import MAX_UNKNOWNS, _spatial_monomials, linear_rows, rational_nullspace
 
     # C(n + degree, n) monomials of total degree <= degree, counted before any is built
     count = n * math.comb(n + degree, n) + 1
@@ -236,10 +236,18 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
         comps.append(row)
     psi = sp.Symbol("_psi")
     unknowns.append(psi)
+    index = {u: col for col, u in enumerate(unknowns)}
+
+    def monomial_coefficients(coeff):
+        terms = sp.Poly(coeff, *xs).terms()
+        if not all(c.is_Rational for _, c in terms):
+            raise UnsupportedMetricError(f"metric coefficient not rational in {coeff}")
+        return terms
+
     # parameters bound to numbers enter as their values, as in the determining equations
     bound = ctx.bind(g.entries)
     lie = lie_matrix(bound.tolist(), comps, xs)
-    rows = {}
+    rows = []
     for i in range(n):
         for j in range(i, n):
             numer, _ = clear_denominator(lie[i][j] - 2 * psi * bound[i, j])
@@ -247,16 +255,10 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
                 raise UnsupportedMetricError(
                     f"metric entry ({i},{j}) is not polynomial after clearing denominators"
                 )
-            for monom, c in sp.Poly(numer, *unknowns, *xs).as_dict().items():
-                if not c.is_Rational:
-                    raise UnsupportedMetricError(f"metric coefficient not rational in {c}")
-                # linear in the unknowns: the term's one unknown is its first exponent 1
-                if sum(monom[:len(unknowns)]) != 1:
-                    raise GeometryError(f"internal: a term of entry ({i},{j}) is not linear")
-                rows.setdefault((i, j, monom[len(unknowns):]), {})[monom.index(1)] = QQ.from_sympy(c)
+            rows.extend(linear_rows(numer, index, monomial_coefficients))
     results = []
     # the row-reduced basis is canonical, so the output is deterministic
-    matrix = SDM(dict(enumerate(rows.values())), (len(rows), len(unknowns)), QQ)
+    matrix = SDM(dict(enumerate(rows)), (len(rows), len(unknowns)), QQ)
     for vec in rational_nullspace(matrix):
         field = SpatialVectorField(
             ctx,

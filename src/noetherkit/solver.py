@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 import sympy as sp
@@ -200,6 +200,28 @@ def rational_solve(columns: Sequence[dict], target: dict):
     if n in pivots:
         return None
     return {p: R[i][n] for i, p in enumerate(pivots) if n in R[i]}
+
+
+def linear_rows(numer: sp.Expr, index: dict,
+                split: Callable[[sp.Expr], Iterable]) -> list[dict]:
+    """Sparse coefficient rows of an expanded form linear and homogeneous in the unknowns.
+
+    One pass over the terms: each holds exactly one unknown (``index`` maps it
+    to its column), and the remainders are grouped by unknown.  ``split``
+    turns each group into (key, rational) pairs; one row is emitted per key.
+    """
+    groups: dict[int, list[sp.Expr]] = {}
+    for term in sp.Add.make_args(numer) if numer != 0 else ():
+        factors = sp.Mul.make_args(term)
+        cols = [index[f] for f in factors if f in index]
+        if len(cols) != 1:
+            raise SolverError(f"internal: term {term} is not linear in the unknowns")
+        groups.setdefault(cols[0], []).append(sp.Mul(*(f for f in factors if f not in index)))
+    rows: dict[sp.Expr, dict] = {}
+    for col, parts in groups.items():
+        for key, c in split(sp.Add(*parts)):
+            rows.setdefault(key, {})[col] = QQ.from_sympy(c)
+    return [rows[key] for key in sorted(rows, key=sp.default_sort_key)]
 
 
 # -- the pipeline ---------------------------------------------------------
