@@ -24,7 +24,7 @@ from .conditions import (
 from .conservation import total_integral
 from .dynamics import (IntegrationError, SymbolicParameterError, drift, evaluate_integral,
                        fit_slope, integrate, require_numeric, write_csv)
-from .geometry import GeometryError, UnsupportedMetricError, solve_homothetic
+from .geometry import GeometryError, solve_homothetic
 from .normal import DEFAULT_SEED, NonNormalizableError
 from .parsing import print_expression
 from .problem import Problem, ProblemError, load_problem
@@ -319,8 +319,7 @@ def main(argv=None) -> int:
     except ProblemError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (UnsupportedMetricError, UnsupportedEquationError,
-            NonNormalizableError, SymbolicParameterError) as exc:
+    except (UnsupportedEquationError, NonNormalizableError, SymbolicParameterError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except CheckFailed as exc:

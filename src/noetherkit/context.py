@@ -16,7 +16,7 @@ import sympy as sp
 
 SYMBOLIC = "symbolic"
 TIME = "t"
-# no coordinate takes these names: the grammar's functions, which it cannot
+# no coordinate or parameter takes these names: the grammar's functions, which it cannot
 # reference as symbols, and the names sympy's math and numpy printers emit
 RESERVED = frozenset({"sin", "cos", "exp", "ln", "log", "sqrt", "e", "pi", "math", "numpy"})
 
@@ -24,7 +24,11 @@ ParamValue = Union[int, float, Fraction, sp.Rational, str]
 
 
 class ContextError(ValueError):
-    pass
+    """Invalid names or values; ``field`` names the offending part of the problem."""
+
+    def __init__(self, message: str, field: str = "coordinates"):
+        super().__init__(message)
+        self.field = field
 
 
 def _to_rational(value) -> sp.Rational:
@@ -52,12 +56,13 @@ class Context:
         object.__setattr__(self, "coordinates", coords)
         if len(coords) < 1:
             raise ContextError("dimension must be >= 1")
-        for c in coords:
+        for kind, c in [*(("coordinate", c) for c in coords),
+                        *(("parameter", p) for p in self.parameters)]:
             # the grammar's identifiers are exactly the ASCII Python identifiers
             if not (c.isascii() and c.isidentifier()) or keyword.iskeyword(c) or c in RESERVED:
                 raise ContextError(
-                    f"{c!r} is not a coordinate name: use letters, digits and _, not a "
-                    f"Python keyword nor one of {', '.join(sorted(RESERVED))}")
+                    f"{c!r} is not a {kind} name: use letters, digits and _, not a "
+                    f"Python keyword nor one of {', '.join(sorted(RESERVED))}", kind + "s")
         velocities = tuple(c + "dot" for c in coords)
         names = [TIME, *coords, *velocities, *self.parameters]
         if len(set(names)) != len(names):

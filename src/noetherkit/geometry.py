@@ -13,15 +13,11 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import SDM
 
 from .context import Context
-from .normal import clear_denominator, is_zero
+from .normal import is_zero
 
 
 class GeometryError(ValueError):
     pass
-
-
-class UnsupportedMetricError(GeometryError):
-    """Metric entry outside the polynomial class the exact solver handles."""
 
 
 @dataclass(frozen=True)
@@ -205,9 +201,13 @@ def check_homothetic(g: Metric, Y: SpatialVectorField) -> HomotheticResult:
 def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
     """All solutions of L_Y g = 2 psi g with polynomial Y of total degree <= degree.
 
-    Coefficient collection over monomials gives a homogeneous rational linear
-    system in the ansatz coefficients and psi; the nullspace is the answer.
-    Killing solutions are listed before proper homothetic ones.
+    The first nonzero entry of g fixes a conformal factor Omega = prod p^r, r
+    the fractional parts of its non-integer exponents (Omega = 1 for integer
+    powers).  With g = Omega h the equation is Omega (L_Y h + (sum r Y(p)/p -
+    2 psi) h) = 0, whose entries the solver's ring turns into a homogeneous
+    rational linear system in the coefficients of Y and psi; the row-reduced
+    nullspace is the answer.  Killing solutions are listed before proper
+    homothetic ones.
     """
     if degree < 1:
         raise GeometryError("ansatz degree must be >= 1")
@@ -215,7 +215,8 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
     n = ctx.dimension
     xs = ctx.xs
     # imported here: the solver imports this module through lagrangian
-    from .solver import MAX_UNKNOWNS, _spatial_monomials, linear_rows, rational_nullspace
+    from .solver import (MAX_UNKNOWNS, UnsupportedEquationError, _Ring, _spatial_monomials,
+                         rational_nullspace)
 
     # C(n + degree, n) monomials of total degree <= degree, counted before any is built
     count = n * math.comb(n + degree, n) + 1
@@ -224,41 +225,30 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
             f"ansatz sizing: {count} unknowns exceeds the {MAX_UNKNOWNS} limit "
             f"({n} components x C({n} + {degree}, {n}) monomials + psi)"
         )
-    mons = _spatial_monomials(xs, degree)
-    unknowns = []
-    comps = []
-    for i in range(n):
-        row = sp.Integer(0)
-        for m_idx, mon in enumerate(mons):
-            c = sp.Symbol(f"_c{i}_{m_idx}")
-            unknowns.append(c)
-            row += c * mon
-        comps.append(row)
-    psi = sp.Symbol("_psi")
-    unknowns.append(psi)
-    index = {u: col for col, u in enumerate(unknowns)}
-
-    def monomial_coefficients(coeff):
-        terms = sp.Poly(coeff, *xs).terms()
-        if not all(c.is_Rational for _, c in terms):
-            raise UnsupportedMetricError(f"metric coefficient not rational in {coeff}")
-        return terms
-
     # parameters bound to numbers enter as their values, as in the determining equations
     bound = ctx.bind(g.entries)
-    lie = lie_matrix(bound.tolist(), comps, xs)
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            numer, _ = clear_denominator(lie[i][j] - 2 * psi * bound[i, j])
-            if not numer.is_polynomial(*xs):
-                raise UnsupportedMetricError(
-                    f"metric entry ({i},{j}) is not polynomial after clearing denominators"
-                )
-            rows.extend(linear_rows(numer, index, monomial_coefficients))
+    for e in bound:
+        if e.free_symbols & set(ctx.free_param_symbols()):
+            raise UnsupportedEquationError(
+                f"metric coefficient {e} holds a symbolic parameter; bind it to a number")
+    first = next((e for e in bound if e != 0), sp.S.One)
+    omega = {f.base: f.exp % 1 for f in sp.Mul.make_args(first)
+             if f.is_Pow and f.exp.is_Rational and not f.exp.is_Integer}
+    h = (bound / sp.Mul(*(p**r for p, r in omega.items()))).tolist()
+    R = _Ring(ctx, [*sum(h, []), *(r / p for p, r in omega.items())])
+    mons = _spatial_monomials(xs, degree)
+    # unknown c is U^(c + 1): the components' coefficients first, psi last
+    comps = [sum(R.U ** (i * len(mons) + k + 1) * R.lift(mon) for k, mon in enumerate(mons))
+             for i in range(n)]
+    h = [[R.lift(e) for e in row] for row in h]
+    lie = lie_matrix(h, comps, xs, R.d)
+    scale = sum(lie_scalar(R.lift(p), comps, xs, R.d) * R.lift(r / p)
+                for p, r in omega.items()) - 2 * R.U ** count
+    rows = [row for i in range(n) for j in range(i, n)
+            for row in R.rows(lie[i][j] + scale * h[i][j], count)]
     results = []
     # the row-reduced basis is canonical, so the output is deterministic
-    matrix = SDM(dict(enumerate(rows)), (len(rows), len(unknowns)), QQ)
+    matrix = SDM(dict(enumerate(rows)), (len(rows), count), QQ)
     for vec in rational_nullspace(matrix):
         field = SpatialVectorField(
             ctx,

@@ -166,7 +166,7 @@ def load_problem(path) -> Problem:
     try:
         ctx = Context(tuple(coords), parameters=params)
     except ContextError as exc:
-        raise ProblemError("coordinates", str(exc)) from exc
+        raise ProblemError(exc.field, str(exc)) from exc
 
     order = doc.get("order", 1)
     if type(order) is not int or order < 1:

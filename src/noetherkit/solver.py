@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import sympy as sp
@@ -202,28 +202,6 @@ def rational_solve(columns: Sequence[dict], target: dict):
     return {p: R[i][n] for i, p in enumerate(pivots) if n in R[i]}
 
 
-def linear_rows(numer: sp.Expr, index: dict,
-                split: Callable[[sp.Expr], Iterable]) -> list[dict]:
-    """Sparse coefficient rows of an expanded form linear and homogeneous in the unknowns.
-
-    One pass over the terms: each holds exactly one unknown (``index`` maps it
-    to its column), and the remainders are grouped by unknown.  ``split``
-    turns each group into (key, rational) pairs; one row is emitted per key.
-    """
-    groups: dict[int, list[sp.Expr]] = {}
-    for term in sp.Add.make_args(numer) if numer != 0 else ():
-        factors = sp.Mul.make_args(term)
-        cols = [index[f] for f in factors if f in index]
-        if len(cols) != 1:
-            raise SolverError(f"internal: term {term} is not linear in the unknowns")
-        groups.setdefault(cols[0], []).append(sp.Mul(*(f for f in factors if f not in index)))
-    rows: dict[sp.Expr, dict] = {}
-    for col, parts in groups.items():
-        for key, c in split(sp.Add(*parts)):
-            rows.setdefault(key, {})[col] = QQ.from_sympy(c)
-    return [rows[key] for key in sorted(rows, key=sp.default_sort_key)]
-
-
 # -- the pipeline ---------------------------------------------------------
 
 
@@ -302,7 +280,7 @@ def _generator(ansatz: Ansatz, name: str, vec: Sequence[sp.Expr]) -> Approximate
 
 
 class _Ring:
-    """The polynomial ring over QQ of one ``reduce`` call, the lift into it and its derivation.
+    """The polynomial ring over QQ of one solve, the lift into it and its derivation.
 
     Generators: U, whose power U^(c+1) stands for unknown c (the equations are
     linear in the unknowns, so a term holds one power of U and monomials stay
@@ -383,13 +361,26 @@ class _Ring:
                     * math.prod(self.lift(p) ** (k - j) for p, k, j in zip(self.inv, top, inverse))
                     for inverse, terms in groups.items()), self.ring.zero)
 
+    def rows(self, e, n: int) -> list[dict]:
+        """The sparse QQ rows of e = 0, e linear and homogeneous in the unknowns U^1..U^n.
+
+        A term of the cleared e adds to the row of its polynomial part times
+        each atom product in the normal form of its atoms.
+        """
+        acc = collections.defaultdict(lambda: collections.defaultdict(int))
+        for m, c in self.cleared(e).iterterms():
+            if not 0 < m[0] <= n:
+                raise SolverError("internal: an equation is not linear in the unknowns")
+            for key, v in self.form(m[self.poly_end:self.atom_end]):
+                acc[m[1:self.poly_end], key][m[0] - 1] += c * v
+        return [r for r in ({c: v for c, v in row.items() if v} for row in acc.values()) if r]
+
 
 def reduce(ansatz: Ansatz) -> LinearSystem:
     """Collect each bound equation over independent atoms, in ``_Ring``.
 
-    There the ``residuals`` of derive and verify build the equations.  A term
-    of a cleared equation, linear in one unknown, adds to the rows of its
-    polynomial part times each atom product in the normal form of its atoms.
+    There the ``residuals`` of derive and verify build the equations, and
+    ``_Ring.rows`` turns each into sparse rows.
     """
     L, ctx, n = ansatz.L, ansatz.L.ctx, len(ansatz.unknowns)
     parts = [([[ctx.bind(e) for e in row] for row in m], ctx.bind(V)) for m, V in L.parts]
@@ -403,15 +394,7 @@ def reduce(ansatz: Ansatz) -> LinearSystem:
                     [comps["xi", A, 0] for A in orders],
                     [[comps["eta", A, i] for i in range(ctx.dimension)] for A in orders],
                     [comps["f", A, 0] for A in orders], R.d)
-    rows: list[dict] = []
-    for eq in eqs:
-        acc = collections.defaultdict(lambda: collections.defaultdict(int))
-        for m, c in R.cleared(eq.lhs).iterterms():
-            if not 0 < m[0] <= n:
-                raise SolverError(f"internal: a term of {eq.kind} is not linear in the unknowns")
-            for key, v in R.form(m[R.poly_end:R.atom_end]):
-                acc[m[1:R.poly_end], key][m[0] - 1] += c * v
-        rows.extend(r for r in ({c: v for c, v in row.items() if v} for row in acc.values()) if r)
+    rows = [row for eq in eqs for row in R.rows(eq.lhs, n)]
     return LinearSystem(ansatz, SDM(dict(enumerate(rows)), (len(rows), n), QQ))
 
 

@@ -397,11 +397,11 @@ class TestSimulate:
         assert "Traceback" not in err
 
 
-def renamed_oscillator(tmp_path, name):
+def renamed_oscillator(tmp_path, name, parameters=None):
     """A short oscillator run with an exp and ln perturbation, its coordinate called ``name``."""
     x = name
     doc = {
-        "coordinates": [x], "metric": [["1"]], "V0": f"{x}^2/2",
+        "coordinates": [x], "parameters": parameters or {}, "metric": [["1"]], "V0": f"{x}^2/2",
         "V1": f"exp({x}/2) + ln(1 + {x}^2) + {x}*cos(t)",
         "candidates": [{"name": "Z", "xi": ["0", "0"], "eta": [["0"], ["sin(t)"]],
                         "f": ["0", f"{x}*cos(t)"]}],
@@ -443,10 +443,13 @@ class TestCoordinateNames:
 
     @pytest.mark.parametrize("name", REJECTED_NAMES)
     def test_rejected_at_load(self, tmp_path, capsys, name):
-        assert run("simulate", renamed_oscillator(tmp_path, name)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"input error: coordinates: {name!r} is not a coordinate name")
-        assert err.count("\n") == 1
+        # a parameter follows the coordinate rule: the printed code holds both
+        for field, coordinate, parameters in [("coordinates", name, None),
+                                              ("parameters", "x", {name: "symbolic"})]:
+            assert run("simulate", renamed_oscillator(tmp_path, coordinate, parameters)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {field}: {name!r} is not a {field[:-1]} name")
+            assert err.count("\n") == 1
 
     def test_grammar_functions_reserved(self):
         assert set(FUNCTIONS) <= RESERVED
@@ -669,9 +672,10 @@ def test_wrong_json_type_never_raises(data):
 
 
 # division and ln at a constant zero, an exponent past the bound, a folded power
-# past it, an unknown name, and large exponents that stay under the bound
+# past it, an unknown name, large exponents that stay under the bound, and
+# entries that killing's ring takes or rejects
 EXPRESSION_MUTATIONS = ["1/0", "ln(0)", "x^65", "(x+1)^64*(x+1)^64", "zeta",
-                        "(x+1)^64", "x^(-64/63)"]
+                        "(x+1)^64", "x^(-64/63)", "exp(x)", "x^(1/2)", "sin(1/x)"]
 
 
 def expression_fields(doc):

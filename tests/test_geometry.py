@@ -15,10 +15,10 @@ from noetherkit import (
 )
 from noetherkit.geometry import (
     GeometryError,
-    UnsupportedMetricError,
     derivative_table,
     lie_scalar,
 )
+from noetherkit.solver import UnsupportedEquationError
 
 
 def euclidean(ctx):
@@ -175,9 +175,21 @@ class TestSolveHomothetic:
         # Killing fields listed first
         assert kinds == sorted(kinds, key=lambda k: k is not HomotheticKind.KILLING)
 
-    def test_every_result_rechecks(self, ctx2):
-        for r in solve_homothetic(euclidean(ctx2), degree=2):
-            check = check_homothetic(euclidean(ctx2), r.field)
+    @pytest.mark.parametrize("coords, rows", [
+        ("xy", [["1"], ["0", "1"]]),
+        ("xy", [["1/(x**2 + y**2)"], ["0", "1/(x**2 + y**2)"]]),
+        ("x", [["exp(x)"]]),
+        ("x", [["sqrt(x)"]]),
+        ("xy", [["sqrt(x)"], ["0", "sqrt(x)"]]),
+    ], ids=["euclidean", "inverse-square-conformal", "exp", "sqrt", "sqrt-conformal"])
+    def test_every_result_rechecks(self, coords, rows):
+        ctx = Context(tuple(coords))
+        names = dict(zip(coords, ctx.xs))
+        m = Metric.from_rows(ctx, [[sp.sympify(e, locals=names) for e in row] for row in rows])
+        results = solve_homothetic(m, degree=2)
+        assert results
+        for r in results:
+            check = check_homothetic(m, r.field)
             assert check.ok
             assert check.conformal_factor == r.conformal_factor
 
@@ -195,12 +207,33 @@ class TestSolveHomothetic:
         comps = [r.field.components[0] for r in results if r.kind is HomotheticKind.KILLING]
         assert any(sp.simplify(c - x) == 0 or sp.simplify(c + x) == 0 for c in comps)
 
-    def test_unsupported_metric(self):
+    @pytest.mark.parametrize("entry, field, psi", [
+        ("exp(x)", "1", sp.Rational(1, 2)),
+        # a fractional power is a conformal factor
+        ("x**(1/2)", "x", sp.Rational(5, 4)),
+        ("x**(-3/2)", "x", sp.Rational(1, 4)),
+    ], ids=["exp", "sqrt", "inverse-three-halves"])
+    def test_one_dimensional_metric(self, entry, field, psi):
         ctx = Context(("x",))
         x, = ctx.xs
-        m = Metric.from_rows(ctx, [[sp.exp(x)]])
-        with pytest.raises(UnsupportedMetricError):
-            solve_homothetic(m, degree=1)
+        m = Metric.from_rows(ctx, [[sp.sympify(entry, locals={"x": x})]])
+        results = solve_homothetic(m, degree=2)
+        assert [(r.field.components, r.conformal_factor) for r in results] == [
+            ((sp.sympify(field, locals={"x": x}),), psi)]
+
+    def test_non_conformal_fractional_metric_unsupported(self):
+        # diag(sqrt(x), 1) keeps a fractional power outside any conformal factor
+        ctx = Context(("x", "y"))
+        x, _ = ctx.xs
+        with pytest.raises(UnsupportedEquationError, match="non-integer power"):
+            solve_homothetic(Metric.from_rows(ctx, [[sp.sqrt(x)], [0, 1]]), degree=1)
+
+    def test_flat_3d_above_a_thousand_unknowns(self):
+        # 3 components x C(3 + 11, 3) monomials + psi = 1093 unknowns
+        results = solve_homothetic(euclidean(Context(("x", "y", "z"))), degree=11)
+        kinds = [r.kind for r in results]
+        assert kinds.count(HomotheticKind.KILLING) == 6
+        assert kinds.count(HomotheticKind.HOMOTHETIC) == 1
 
     def test_bad_degree(self, ctx2):
         with pytest.raises(GeometryError):
