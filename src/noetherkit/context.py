@@ -64,9 +64,13 @@ class Context:
                     f"{c!r} is not a {kind} name: use letters, digits and _, not a "
                     f"Python keyword nor one of {', '.join(sorted(RESERVED))}", kind + "s")
         velocities = tuple(c + "dot" for c in coords)
-        names = [TIME, *coords, *velocities, *self.parameters]
+        names = [TIME, *coords, *velocities]
         if len(set(names)) != len(names):
             raise ContextError(f"identifiers are not distinct: {sorted(names)}")
+        clash = sorted(set(names) & set(self.parameters))
+        if clash:
+            raise ContextError(f"parameter names {clash} repeat t, a coordinate or a velocity",
+                               "parameters")
         params = {}
         for name, value in dict(self.parameters).items():
             if value == SYMBOLIC:

@@ -225,8 +225,9 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
             f"ansatz sizing: {count} unknowns exceeds the {MAX_UNKNOWNS} limit "
             f"({n} components x C({n} + {degree}, {n}) monomials + psi)"
         )
-    # parameters bound to numbers enter as their values, as in the determining equations
-    bound = ctx.bind(g.entries)
+    # parameters bound to numbers enter as their values, as in the determining equations;
+    # a common power pulled out of each entry's terms shows the conformal factor
+    bound = ctx.bind(g.entries).applyfunc(sp.factor_terms)
     for e in bound:
         if e.free_symbols & set(ctx.free_param_symbols()):
             raise UnsupportedEquationError(

@@ -19,8 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import sympy as sp
@@ -30,13 +29,7 @@ from sympy.polys.rings import ring
 
 from .conditions import residuals, verify
 from .lagrangian import ApproximateGenerator, GeneratorOrder, PerturbedLagrangian
-from .normal import (
-    DEFAULT_SEED,
-    NonNormalizableError,
-    NormalForm,
-    normalize,
-    polynomial_argument,
-)
+from .normal import DEFAULT_SEED, normalize, polynomial_argument
 
 MAX_UNKNOWNS = 10_000
 
@@ -123,28 +116,6 @@ class Ansatz:
     columns: tuple[Column, ...]  # aligned with unknowns
     constants: int  # boundary functions left out because they are numbers
 
-    @cached_property
-    def slots(self) -> dict[tuple[str, int, int],
-                            tuple[tuple[int, ...], Optional[tuple[dict, ...]]]]:
-        """Per slot, its columns and the sparse QQ coefficients of their functions.
-
-        Normalized once per ansatz, on the first membership test; the
-        coefficients are None when a function of the slot is outside the
-        normalizable class.
-        """
-        cols_of: dict[tuple[str, int, int], list[int]] = {}
-        for col, column in enumerate(self.columns):
-            cols_of.setdefault(column.slot, []).append(col)
-        out = {}
-        for slot, cols in cols_of.items():
-            try:
-                forms = tuple(_coefficients(normalize(sp.expand(self.columns[c].fn)))
-                              for c in cols)
-            except NonNormalizableError:
-                forms = None
-            out[slot] = (tuple(cols), forms)
-        return out
-
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -157,8 +128,8 @@ class SolutionBasis:
     generators: tuple[ApproximateGenerator, ...]
     nullspace_dim: int
     gauge_note: str
-    # coefficient vectors over QQ, dense, aligned with generators; used for
-    # the span-membership test
+    # coefficient vectors over QQ, dense, aligned with generators and with
+    # the ansatz's columns
     vectors: tuple[tuple, ...]
     ansatz: Ansatz
 
@@ -184,22 +155,6 @@ def rational_nullspace(matrix: SDM) -> list[tuple]:
     """The canonical (row-reduced) basis of {v : matrix . v = 0}, as dense QQ tuples."""
     R, pivots = matrix.nullspace()[0].rref()
     return [tuple(row) for row in R.to_list()[: len(pivots)]]
-
-
-def rational_solve(columns: Sequence[dict], target: dict):
-    """Sparse rational x with sum_k x_k columns[k] == target (free x_k = 0), or None.
-
-    The columns and the target are sparse too, {row key: QQ}.
-    """
-    n = len(columns)
-    rows: dict = {}
-    for k, col in enumerate((*columns, target)):
-        for key, v in col.items():
-            rows.setdefault(key, {})[k] = v
-    R, pivots = SDM(dict(enumerate(rows.values())), (len(rows), n + 1), QQ).rref()
-    if n in pivots:
-        return None
-    return {p: R[i][n] for i, p in enumerate(pivots) if n in R[i]}
 
 
 # -- the pipeline ---------------------------------------------------------
@@ -431,54 +386,42 @@ def solve(L: PerturbedLagrangian, spec: AnsatzSpec, tol: float = 1e-10,
 # -- span membership ------------------------------------------------------
 
 
-def _coefficients(form: NormalForm) -> dict:
-    """The coefficients of a normal form over QQ, keyed by atom product."""
-    return {k: QQ.from_sympy(c) for k, c in form.terms}
-
-
-def _coordinates(expr: sp.Expr, columns: Sequence[dict]):
-    """Sparse rational coordinates of expr in the span of the sparse columns, or None."""
-    try:
-        target = normalize(sp.expand(sp.sympify(expr)))
-    except NonNormalizableError:
-        return None
-    return rational_solve(columns, _coefficients(target))
-
-
 def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
-    """Exact span-membership test for a candidate generator.
+    """Exact span-membership test for a candidate generator, in ``_Ring``.
 
-    The candidate is projected onto the ansatz coordinates slot by slot
-    (failing that, it is not in the span) and membership is decided by an
-    exact rational solve against the solution vectors.  Constant shifts of
-    the boundary terms are gauge: the part of a given f that depends on
-    none of t, x and xdot is dropped.
+    Unknown j < k weighs solution S_j and unknown k the candidate, k the
+    number of solutions: each compared slot gives the equation sum_j a_j S_j
+    + a_k X = 0, and X is in the span exactly when a_k is not a pivot of
+    their rows.  Parameters bound to numbers enter as their values; a slot
+    outside the ring's class puts X outside the span.  Constant shifts of the
+    boundary terms are gauge: the part of a given f that depends on none of
+    t, x and xdot is dropped.
 
-    ``X.boundary is None`` means f is free: only the xi and eta coordinates
-    are compared.  That decides the same question, because a solution with
-    xi = eta = 0 has f_x = f_t = 0, so its f is a constant, which is gauge;
-    restricted to the xi and eta columns the solution vectors stay
-    independent.
+    ``X.boundary is None`` means f is free: only xi and eta are compared.
+    That decides the same question, because a solution with xi = eta = 0 has
+    f_x = f_t = 0, so its f is a constant, which is gauge; restricted to xi
+    and eta the solutions stay independent.
     """
-    ansatz = basis.ansatz
-    X.check_shape(ansatz.L)
-    ctx = ansatz.L.ctx
+    L = basis.ansatz.L
+    X.check_shape(L)
+    ctx, k = L.ctx, len(basis.generators)
+
+    def slots(g: ApproximateGenerator, boundary) -> list[sp.Expr]:
+        """xi and eta of every order, bound, then the boundary terms unless f is free."""
+        return [ctx.bind(e) for o in g.orders for e in (o.xi, *o.eta)] + list(boundary or ())
+
     free_f = X.boundary is None
-    vec = {}
-    for (kind, A, i), (cols, forms) in ansatz.slots.items():
-        if kind == "f":
-            if free_f:
-                continue
-            target = sp.expand(X.boundary[A]).as_independent(ctx.t, *ctx.xs, *ctx.vs, as_Add=True)[1]
-        else:
-            target = X.orders[A].xi if kind == "xi" else X.orders[A].eta[i]
-        coords = None if forms is None else _coordinates(target, forms)
-        if coords is None:
-            return False
-        vec.update((cols[k], v) for k, v in coords.items())
-    compared = [c for c, column in enumerate(ansatz.columns)
-                if not (free_f and column.slot[0] == "f")]
-    return rational_solve(
-        [{c: v[c] for c in compared if v[c]} for v in basis.vectors],
-        {c: vec[c] for c in compared if c in vec},
-    ) is not None
+    given = None if free_f else [
+        sp.expand(ctx.bind(f)).as_independent(ctx.t, *ctx.xs, *ctx.vs, as_Add=True)[1]
+        for f in X.boundary]
+    # one row per generator, the candidate last; one column per compared slot
+    table = [slots(S, None if free_f else S.boundary) for S in basis.generators]
+    table.append(slots(X, given))
+    try:
+        R = _Ring(ctx, [e for row in table for e in row])
+        eqs = [sum((R.U ** (j + 1) * R.lift(e) for j, e in enumerate(slot)), R.ring.zero)
+               for slot in zip(*table)]
+    except UnsupportedEquationError:
+        return False
+    rows = [row for eq in eqs for row in R.rows(eq, k + 1)]
+    return k not in SDM(dict(enumerate(rows)), (len(rows), k + 1), QQ).rref()[1]

@@ -451,6 +451,14 @@ class TestCoordinateNames:
             assert err.startswith(f"input error: {field}: {name!r} is not a {field[:-1]} name")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["t", "x", "xdot"])
+    def test_parameter_repeating_a_name_rejected_at_load(self, tmp_path, capsys, name):
+        path = renamed_oscillator(tmp_path, "x", {name: 1})
+        assert run("simulate", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: parameters: parameter names [{name!r}] repeat")
+        assert err.count("\n") == 1
+
     def test_grammar_functions_reserved(self):
         assert set(FUNCTIONS) <= RESERVED
 
@@ -713,19 +721,32 @@ def test_mutated_expression_never_raises(data):
 # hostile ansatz entries: ln and inverse atoms, a trig product, a fractional power
 ANSATZ_MUTATIONS = ["ln(t)", "1/t", "ln(t^2+1)", "sin(t)^2", "exp(t)*sin(t)", "1/(1+t)",
                     "x^(1/2)"]
+# and for a candidate's entries, which membership lifts into the solver's ring: a
+# velocity and an atom of a non-polynomial argument
+CANDIDATE_MUTATIONS = ANSATZ_MUTATIONS + ["xdot", "sin(1/x)"]
 
 
 @given(st.data())
 @settings(max_examples=25, deadline=30_000)
 def test_mutated_ansatz_never_raises(data):
-    """solve on a shipped fixture with a trimmed basis and one hostile ansatz or potential entry."""
+    """solve on a shipped fixture with a trimmed basis and one hostile ansatz, potential
+    or candidate entry."""
     fixture = data.draw(st.sampled_from(["free_particle.json", "case2_solver.json",
                                          "case5.json"]))
     doc = json.loads(fixture_path(fixture).read_text())
     doc["ansatz"]["time_basis"] = ["1", "t"]
-    mutation = data.draw(st.sampled_from(ANSATZ_MUTATIONS))
-    field = data.draw(st.sampled_from(["time_basis", "V0", "V1", "inverse_powers"]))
-    if field == "time_basis":
+    field = data.draw(st.sampled_from(["time_basis", "V0", "V1", "inverse_powers",
+                                       "candidates"]))
+    mutation = data.draw(st.sampled_from(CANDIDATE_MUTATIONS if field == "candidates"
+                                         else ANSATZ_MUTATIONS))
+    if field == "candidates":
+        zero = ["0", "0"]
+        doc.setdefault("candidates", [{"name": "Z", "xi": zero, "f": zero,
+                                       "eta": [["0"] * len(doc["coordinates"])] * 2}])
+        path, source = data.draw(st.sampled_from(
+            [(p, text) for p, text in expression_fields(doc) if p[0] == "candidates"]))
+        set_field(doc, path, data.draw(st.sampled_from([mutation, f"({source}) + {mutation}"])))
+    elif field == "time_basis":
         doc["ansatz"]["time_basis"].append(mutation)
     elif field == "inverse_powers":
         doc["ansatz"]["inverse_powers"] = [mutation]

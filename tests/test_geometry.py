@@ -181,7 +181,9 @@ class TestSolveHomothetic:
         ("x", [["exp(x)"]]),
         ("x", [["sqrt(x)"]]),
         ("xy", [["sqrt(x)"], ["0", "sqrt(x)"]]),
-    ], ids=["euclidean", "inverse-square-conformal", "exp", "sqrt", "sqrt-conformal"])
+        ("xy", [["x**(1/2) + x**(1/2)*y"], ["0", "x**(1/2) + x**(1/2)*y"]]),
+    ], ids=["euclidean", "inverse-square-conformal", "exp", "sqrt", "sqrt-conformal",
+            "sqrt-conformal-sum"])
     def test_every_result_rechecks(self, coords, rows):
         ctx = Context(tuple(coords))
         names = dict(zip(coords, ctx.xs))

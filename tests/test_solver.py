@@ -1,3 +1,5 @@
+import json
+
 import sympy as sp
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ import noetherkit.solver
 from noetherkit import (
     AnsatzSpec, Context, contains, fixture_path, load_problem, parse, solve, verify,
 )
+from noetherkit.cli import main
 from noetherkit.conditions import IncompatibleError, candidate_residuals, recover_boundary_terms
 from noetherkit.normal import normalize
 from noetherkit.solver import (
@@ -18,7 +21,6 @@ from noetherkit.solver import (
     instantiate,
     nullspace,
     rational_nullspace,
-    rational_solve,
     reduce,
 )
 from noetherkit.lagrangian import ApproximateGenerator, GeneratorOrder
@@ -282,28 +284,6 @@ class TestExactKernel:
         expected = reference_rref([list(v) for v in ref.nullspace()])
         assert [[QQ.to_sympy(v) for v in vec] for vec in null] == expected
 
-    @given(sparse_rational_matrices(), st.booleans(), st.data())
-    @settings(max_examples=25, deadline=2000)
-    def test_solve(self, matrix, consistent, data):
-        rows, ncols = matrix
-        A = sp.Matrix(len(rows), ncols, [QQ.to_sympy(v) for row in rows for v in row])
-
-        def vector(size):
-            values = data.draw(st.lists(st.fractions(-4, 4, max_denominator=5),
-                                        min_size=size, max_size=size))
-            return sp.Matrix(size, 1, [sp.Rational(f.numerator, f.denominator) for f in values])
-
-        # a consistent target is a combination of the columns
-        b = A * vector(ncols) if consistent else vector(len(rows))
-        columns = [{i: rows[i][k] for i in range(len(rows)) if rows[i][k]}
-                   for k in range(ncols)]
-        x = rational_solve(columns, {i: QQ.from_sympy(v) for i, v in enumerate(b) if v})
-        if x is None:
-            assert A.row_join(b).rank() > A.rank()
-        else:
-            dense = [QQ.to_sympy(x.get(k, QQ.zero)) for k in range(ncols)]
-            assert A * sp.Matrix(ncols, 1, dense) == b
-
 
 def from_table(ansatz, vec, name="T"):
     """The generator sum_c vec_c * fn_c, assembled from the coefficient table."""
@@ -472,3 +452,14 @@ class TestMembership:
         closed = ApproximateGenerator(
             "Zt", (GeneratorOrder(1, (0,)), GeneratorOrder(0, (0,))))
         assert contains(basis, closed)
+
+    @pytest.mark.parametrize("boundary", [{"f": ["0", "0"]}, {}], ids=["given-f", "free-f"])
+    def test_bound_parameter_enters_as_its_value(self, tmp_path, boundary):
+        """xi0 = k with k bound to 2 is 2 S2, as verify finds."""
+        doc = json.loads(fixture_path("free_particle.json").read_text())
+        doc["parameters"] = {"k": 2}
+        doc["candidates"] = [{"name": "Zk", "xi": ["k", "0"], "eta": [["0"], ["0"]], **boundary}]
+        problem, report = tmp_path / "bound.json", tmp_path / "report.json"
+        problem.write_text(json.dumps(doc))
+        assert main(["solve", str(problem), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["membership"] == [{"name": "Zk", "in_span": True}]
