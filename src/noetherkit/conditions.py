@@ -6,13 +6,13 @@ xi-spatial-constancy condition of a generator given by its components.
 ``build_conditions`` calls it with unevaluated function placeholders for the
 components and boundary terms, which is the system ``derive`` prints.
 ``verify`` and the solver call it with a concrete candidate (or the ansatz
-generator) and bind the numeric parameters, and ``recover_boundary_terms``
-reads f_x and f_t off the gradient and potential conditions with f = 0.
+generator), and ``recover_boundary_terms`` reads f_x and f_t off the
+gradient and potential conditions with f = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import sympy as sp
@@ -98,15 +98,14 @@ def build_conditions(L: PerturbedLagrangian) -> DeterminingSystem:
 
 def candidate_residuals(L: PerturbedLagrangian,
                         X: ApproximateGenerator) -> tuple[Equation, ...]:
-    """The determining equations of a candidate with boundary terms, parameters bound."""
+    """The determining equations of a candidate with boundary terms."""
     X.check_shape(L)
     if X.boundary is None:
         raise ModelError(
             f"candidate {X.name} has no boundary terms; recover them first"
         )
-    eqs = residuals(L.ctx, L.parts, [o.xi for o in X.orders], [o.eta for o in X.orders],
-                    X.boundary, derivative_table())
-    return tuple(replace(eq, lhs=L.ctx.bind(eq.lhs)) for eq in eqs)
+    return residuals(L.ctx, L.parts, [o.xi for o in X.orders], [o.eta for o in X.orders],
+                     X.boundary, derivative_table())
 
 
 # -- prolongation ---------------------------------------------------------
@@ -177,7 +176,7 @@ def noether_residuals(
                 r += prolong_apply(X.orders[A], parts[a], ctx)
                 r += total_time_derivative(X.orders[A].xi, ctx) * parts[a]
         r -= total_time_derivative(X.boundary[gamma], ctx)
-        residuals.append(ctx.bind(r))
+        residuals.append(r)
     return residuals
 
 

@@ -80,7 +80,7 @@ def first_integral(
     for m, H, A in parts:
         eta = X.orders[A].eta
         expr += X.orders[A].xi * H - sp.Add(*(_momentum(L, m, i) * eta[i] for i in range(n)))
-    return FirstIntegral(gamma, sp.expand(L.ctx.bind(expr)), X.name, gamma)
+    return FirstIntegral(gamma, sp.expand(expr), X.name, gamma)
 
 
 def total_integral(
@@ -127,7 +127,7 @@ def accelerations(L: PerturbedLagrangian) -> list[sp.Expr]:
         Minv = M.inv()
     except (sp.matrices.exceptions.NonInvertibleMatrixError, ValueError) as exc:
         raise NumericOnly(str(exc)) from exc
-    vars(L)["_accelerations"] = [sp.cancel(ctx.bind(a)) for a in Minv * rhs]
+    vars(L)["_accelerations"] = [sp.cancel(a) for a in Minv * rhs]
     return vars(L)["_accelerations"]
 
 

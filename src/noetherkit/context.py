@@ -101,26 +101,17 @@ class Context:
     def vs(self) -> tuple[sp.Symbol, ...]:
         return tuple(sp.Symbol(c, real=True) for c in self.velocities)
 
-    def symbol(self, name: str) -> sp.Symbol:
+    def symbol(self, name: str) -> sp.Expr:
+        """The expression a name stands for: the exact value of a parameter bound to a
+        number, else the real Symbol.  Every expression of a problem reads its names
+        here, so a bound parameter is its value everywhere."""
         if name not in self.names():
             raise ContextError(f"unknown identifier {name!r}")
-        return sp.Symbol(name, real=True)
+        value = self.parameters.get(name, SYMBOLIC)
+        return sp.Symbol(name, real=True) if value == SYMBOLIC else value
 
     def names(self) -> tuple[str, ...]:
         return (TIME, *self.coordinates, *self.velocities, *self.parameters)
-
-    def numeric_bindings(self) -> dict[sp.Symbol, sp.Rational]:
-        """Substitution map for every parameter bound to a number."""
-        return {
-            sp.Symbol(name, real=True): value
-            for name, value in self.parameters.items()
-            if value != SYMBOLIC
-        }
-
-    def bind(self, e: sp.Basic) -> sp.Basic:
-        """``e`` with every parameter bound to a number replaced by its value."""
-        params = self.numeric_bindings()
-        return e.subs(params) if params else e
 
     def free_param_symbols(self) -> tuple[sp.Symbol, ...]:
         return tuple(

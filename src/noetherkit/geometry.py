@@ -225,18 +225,17 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
             f"ansatz sizing: {count} unknowns exceeds the {MAX_UNKNOWNS} limit "
             f"({n} components x C({n} + {degree}, {n}) monomials + psi)"
         )
-    # parameters bound to numbers enter as their values, as in the determining equations;
     # a common power pulled out of each entry's terms shows the conformal factor
-    bound = ctx.bind(g.entries).applyfunc(sp.factor_terms)
-    for e in bound:
+    entries = g.entries.applyfunc(sp.factor_terms)
+    for e in entries:
         if e.free_symbols & set(ctx.free_param_symbols()):
             raise UnsupportedEquationError(
                 f"metric coefficient {e} holds a symbolic parameter; bind it to a number")
-    first = next((e for e in bound if e != 0), sp.S.One)
+    first = next((e for e in entries if e != 0), sp.S.One)
     omega = {f.base: f.exp % 1 for f in sp.Mul.make_args(first)
              if f.is_Pow and f.exp.is_Rational and not f.exp.is_Integer}
-    h = (bound / sp.Mul(*(p**r for p, r in omega.items()))).tolist()
-    R = _Ring(ctx, [*sum(h, []), *(r / p for p, r in omega.items())])
+    h = (entries / sp.Mul(*(p**r for p, r in omega.items()))).tolist()
+    R = _Ring(ctx, [*sum(h, []), *(r / p for p, r in omega.items())], xs)
     mons = _spatial_monomials(xs, degree)
     # unknown c is U^(c + 1): the components' coefficients first, psi last
     comps = [sum(R.U ** (i * len(mons) + k + 1) * R.lift(mon) for k, mon in enumerate(mons))

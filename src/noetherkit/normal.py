@@ -178,15 +178,14 @@ def sample_points(symbols, seed: int) -> list[list[float]]:
 def _eval_at(fn, values):
     try:
         v = fn(*values)
+        if isinstance(v, complex):
+            if abs(v.imag) > 1e-9 * (1.0 + abs(v.real)):
+                return None
+            v = v.real
+        # an int past float range raises OverflowError here
+        return v if math.isfinite(v) else None
     except (ValueError, ZeroDivisionError, OverflowError):
         return None
-    if isinstance(v, complex):
-        if abs(v.imag) > 1e-9 * (1.0 + abs(v.real)):
-            return None
-        v = v.real
-    if not math.isfinite(v):
-        return None
-    return v
 
 
 def _sampled_values(e: sp.Expr, seed: int):

@@ -52,6 +52,9 @@ def _parse_expr(source, ctx: Context, path: str) -> sp.Expr:
         raise ProblemError(path, str(exc)) from exc
     if expr.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise ProblemError(path, f"non-finite constant in {source!r}")
+    # sqrt(-1), ln(-1), (-8)^(1/3): the commands evaluate in real floats
+    if any(a.is_number and a.is_real is False for a in sp.preorder_traversal(expr)):
+        raise ProblemError(path, f"non-real constant in {source!r}")
     return expr
 
 

@@ -2,7 +2,7 @@
 
 Every generator component is expanded over a user-declared time basis times
 spatial monomials, so the ansatz is a coefficient table: one unknown per
-(slot, basis function) pair.  Lifted with the bound Lagrangian into a sparse
+(slot, basis function) pair.  Lifted with the Lagrangian into a sparse
 polynomial ring over QQ, it gives equations linear in the unknowns; each is
 multiplied clear of denominators once and its terms are collected over
 independent atoms into sparse rows over QQ, whose nullspace is the solution
@@ -240,17 +240,19 @@ class _Ring:
     Generators: U, whose power U^(c+1) stands for unknown c (the equations are
     linear in the unknowns, so a term holds one power of U and monomials stay
     short); t, the coordinates and the symbolic parameters; one per sin, cos,
-    exp or ln atom of the input or of an atom's derivative; one inv_p per
-    irreducible factor p of a denominator, with d(inv_p) = -inv_p^2 d(p).
+    exp or ln atom of the input or of an atom's derivative by one of
+    ``variables``; one inv_p per irreducible factor p of a denominator, with
+    d(inv_p) = -inv_p^2 d(p).  The derivation ``d`` takes only ``variables``:
+    a caller that never differentiates passes none.
     """
 
-    def __init__(self, ctx, exprs: Iterable[sp.Expr]):
-        self.vars = (ctx.t, *ctx.xs)
+    def __init__(self, ctx, exprs: Iterable[sp.Expr], variables: Sequence[sp.Symbol]):
+        self.vars = tuple(variables)
         # atom -> None, denominator -> (content, factors), factor -> its inverse generator
         self.atoms, self.factored, self.inv = {}, {}, {}
         for e in exprs:
             self._scan(e)
-        poly = (*self.vars, *ctx.free_param_symbols())
+        poly = (ctx.t, *ctx.xs, *ctx.free_param_symbols())
         self.poly_end, self.atom_end = 1 + len(poly), 1 + len(poly) + len(self.atoms)
         self.ring, self.U, *gens = ring([sp.Dummy() for _ in range(self.atom_end + len(self.inv))],
                                         QQ)
@@ -261,8 +263,8 @@ class _Ring:
         self.form = functools.cache(lambda atoms: [(k, QQ.from_sympy(c)) for k, c in normalize(
             sp.Mul(*(a**k for a, k in zip(self.atoms, atoms)))).terms])
         self.tables = {}
-        for k, v in enumerate(self.vars, 1):
-            table = self.tables[v] = [(k, self.ring.one)]
+        for v in self.vars:
+            table = self.tables[v] = [(poly.index(v) + 1, self.ring.one)]
             table += [(i, self.lift(sp.diff(a, v))) for i, a in enumerate(self.atoms, self.poly_end)]
             # a factor holds no inverse, so its derivative needs the entries above only
             table += [(i, -g**2 * self.d(self.lift(p), v))
@@ -332,20 +334,20 @@ class _Ring:
 
 
 def reduce(ansatz: Ansatz) -> LinearSystem:
-    """Collect each bound equation over independent atoms, in ``_Ring``.
+    """Collect each equation over independent atoms, in ``_Ring``.
 
     There the ``residuals`` of derive and verify build the equations, and
     ``_Ring.rows`` turns each into sparse rows.
     """
     L, ctx, n = ansatz.L, ansatz.L.ctx, len(ansatz.unknowns)
-    parts = [([[ctx.bind(e) for e in row] for row in m], ctx.bind(V)) for m, V in L.parts]
-    fns = [ctx.bind(column.fn) for column in ansatz.columns]
-    R = _Ring(ctx, [e for m, V in parts for e in (*sum(m, []), V)] + fns)
+    R = _Ring(ctx, [e for m, V in L.parts for e in (*sum(m, []), V)]
+              + [column.fn for column in ansatz.columns], (ctx.t, *ctx.xs))
     comps = collections.defaultdict(lambda: R.ring.zero)
-    for c, (column, fn) in enumerate(zip(ansatz.columns, fns)):
-        comps[column.slot] += R.U ** (c + 1) * R.lift(fn)
+    for c, column in enumerate(ansatz.columns):
+        comps[column.slot] += R.U ** (c + 1) * R.lift(column.fn)
     orders = range(L.order + 1)
-    eqs = residuals(ctx, [([[R.lift(e) for e in row] for row in m], R.lift(V)) for m, V in parts],
+    parts = [([[R.lift(e) for e in row] for row in m], R.lift(V)) for m, V in L.parts]
+    eqs = residuals(ctx, parts,
                     [comps["xi", A, 0] for A in orders],
                     [[comps["eta", A, i] for i in range(ctx.dimension)] for A in orders],
                     [comps["f", A, 0] for A in orders], R.d)
@@ -392,10 +394,9 @@ def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
     Unknown j < k weighs solution S_j and unknown k the candidate, k the
     number of solutions: each compared slot gives the equation sum_j a_j S_j
     + a_k X = 0, and X is in the span exactly when a_k is not a pivot of
-    their rows.  Parameters bound to numbers enter as their values; a slot
-    outside the ring's class puts X outside the span.  Constant shifts of the
-    boundary terms are gauge: the part of a given f that depends on none of
-    t, x and xdot is dropped.
+    their rows.  A slot outside the ring's class puts X outside the span.
+    Constant shifts of the boundary terms are gauge: the part of a given f
+    that depends on none of t, x and xdot is dropped.
 
     ``X.boundary is None`` means f is free: only xi and eta are compared.
     That decides the same question, because a solution with xi = eta = 0 has
@@ -407,18 +408,18 @@ def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
     ctx, k = L.ctx, len(basis.generators)
 
     def slots(g: ApproximateGenerator, boundary) -> list[sp.Expr]:
-        """xi and eta of every order, bound, then the boundary terms unless f is free."""
-        return [ctx.bind(e) for o in g.orders for e in (o.xi, *o.eta)] + list(boundary or ())
+        """xi and eta of every order, then the boundary terms unless f is free."""
+        return [e for o in g.orders for e in (o.xi, *o.eta)] + list(boundary or ())
 
     free_f = X.boundary is None
     given = None if free_f else [
-        sp.expand(ctx.bind(f)).as_independent(ctx.t, *ctx.xs, *ctx.vs, as_Add=True)[1]
+        sp.expand(f).as_independent(ctx.t, *ctx.xs, *ctx.vs, as_Add=True)[1]
         for f in X.boundary]
     # one row per generator, the candidate last; one column per compared slot
     table = [slots(S, None if free_f else S.boundary) for S in basis.generators]
     table.append(slots(X, given))
     try:
-        R = _Ring(ctx, [e for row in table for e in row])
+        R = _Ring(ctx, [e for row in table for e in row], ())
         eqs = [sum((R.U ** (j + 1) * R.lift(e) for j, e in enumerate(slot)), R.ring.zero)
                for slot in zip(*table)]
     except UnsupportedEquationError:

@@ -84,22 +84,37 @@ class TestVerify:
         assert run("verify", fixture_path("case2.json"), "--candidate", "nope") == 2
 
     def test_failing_candidate_exits_1(self, tmp_path):
-        doc = {
-            "coordinates": ["x"],
-            "metric": [["1"]],
-            "V0": "x^2/2",
-            "V1": "0",
-            "candidates": [
-                {"name": "bad", "xi": ["t^3", "0"], "eta": [["x"], ["0"]],
-                 "f": ["0", "0"]}
-            ],
-        }
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        code, report = run_report(tmp_path, "verify", path)
-        assert code == 1
-        assert report["verdicts"][0]["status"] == "fail"
-        assert report["verdicts"][0]["classification"] == "not a symmetry"
+        # with k = 10^-300 the cleared equations of 1/(x+k) have integer terms past
+        # float range, which sampling treats like any other point outside the domain
+        for parameters, xi, eta in [({}, "t^3", "x"), ({"k": 1e-300}, "0", "1/(x+k)")]:
+            doc = {
+                "coordinates": ["x"],
+                "parameters": parameters,
+                "metric": [["1"]],
+                "V0": "x^2/2",
+                "V1": "0",
+                "candidates": [
+                    {"name": "bad", "xi": [xi, "0"], "eta": [[eta], ["0"]],
+                     "f": ["0", "0"]}
+                ],
+            }
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            code, report = run_report(tmp_path, "verify", path)
+            assert code == 1
+            assert report["verdicts"][0]["status"] == "fail"
+            assert report["verdicts"][0]["classification"] == "not a symmetry"
+
+    @pytest.mark.parametrize("xi, f", [(["1", "k-2"], ["0", "0"]), (["1", "0"], ["0", "k-2"])],
+                             ids=["xi", "f"])
+    def test_bound_parameter_classified(self, tmp_path, xi, f):
+        """With k bound to 2 the order-1 part k-2 is 0, so the candidate is exact."""
+        problem = fixture_probe(tmp_path, ("candidates",),
+                                [{"name": "Z", "xi": xi, "eta": [["0"], ["0"]], "f": f}],
+                                parameters={"k": 2})
+        code, report = run_report(tmp_path, "verify", problem)
+        assert code == 0
+        assert report["verdicts"][0]["classification"] == "exact"
 
     def test_determining_system_built_once(self, monkeypatch, tmp_path):
         """Candidates are checked without the placeholder system: it is never built."""
@@ -171,6 +186,14 @@ class TestSolve:
         # no generator is a bare constant boundary term
         assert all(any(e != "0" for e in g["xi"] + sum(g["eta"], []))
                    for g in basis["generators"])
+
+    def test_bound_parameter_in_time_basis(self, tmp_path):
+        """k*t with k bound to 2 is the element 2*t, not an undeclared symbol."""
+        problem = fixture_probe(tmp_path, ("ansatz", "time_basis"), ["1", "k*t"],
+                                fixture="free_particle.json", parameters={"k": 2})
+        code, report = run_report(tmp_path, "solve", problem)
+        assert code == 0
+        assert report["solution_basis"]["nullspace_dim"] == 8
 
     @pytest.mark.parametrize("basis", [["sin(t)^2", "cos(t)^2"], ["1+t", "t", "t^2"]],
                              ids=["sin^2,cos^2", "1+t,t,t^2"])
@@ -480,13 +503,16 @@ class TestKilling:
         return path
 
     def test_bound_parameter_enters_as_its_value(self, tmp_path):
-        code, bound = run_report(tmp_path, "killing", self.metric_problem(
-            tmp_path, [["k"], ["0", "1"]], {"k": 2}), name="bound.json")
-        assert code == 0
-        code, literal = run_report(tmp_path, "killing", self.metric_problem(
-            tmp_path, [["2"], ["0", "1"]]), name="literal.json")
-        assert code == 0
-        assert bound["homothetic_basis"] == literal["homothetic_basis"]
+        # full rows are checked for symmetry with k read as 2
+        for rows in ([["k"], ["0", "1"]], [["3", "k"], ["2", "3"]]):
+            code, bound = run_report(tmp_path, "killing", self.metric_problem(
+                tmp_path, rows, {"k": 2}), name="bound.json")
+            assert code == 0
+            literal_rows = [[e.replace("k", "2") for e in row] for row in rows]
+            code, literal = run_report(tmp_path, "killing", self.metric_problem(
+                tmp_path, literal_rows), name="literal.json")
+            assert code == 0
+            assert bound["homothetic_basis"] == literal["homothetic_basis"]
 
     def test_symbolic_parameter_unsupported(self, tmp_path, capsys):
         path = self.metric_problem(tmp_path, [["k"], ["0", "1"]], {"k": "symbolic"})
@@ -528,6 +554,11 @@ LOAD_PROBE_IDS = [probe[2] for probe in LOAD_PROBES]
 # a JSON path probed before, so its id names the fault
 LOAD_PROBES.append((("V1",), "xdot", "V1"))
 LOAD_PROBE_IDS.append("V1-velocity")
+# constants that are not real, which simulate and solve evaluate in floats
+LOAD_PROBES += [(("V0",), "x^2/2 + (-1)^(1/2)*x", "V0"), (("V1",), "(-8)^(1/3)*x", "V1"),
+                (("metric",), [["1 + ln(-1)"]], "metric[0][0]"),
+                (("ansatz",), {"time_basis": ["1", "ln(-1)"]}, "ansatz.time_basis[1]")]
+LOAD_PROBE_IDS += ["V0-non-real", "V1-non-real", "metric-non-real", "time-basis-non-real"]
 
 
 class TestInputErrors:
@@ -558,12 +589,13 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("powers, index", [
         (["x"], 0), (["x^2"], 0), (["2"], 0), (["1/x", "1/x"], 1), (["1/x", "3/x"], 1),
-        (["1/x", "t/x"], 1),
-    ], ids=["monomial", "f-monomial", "number", "repeat", "multiple", "time"])
+        (["1/x", "t/x"], 1), (["x+k"], 0),
+    ], ids=["monomial", "f-monomial", "number", "repeat", "multiple", "time", "parameter"])
     def test_inverse_power_without_a_new_direction(self, tmp_path, capsys, powers, index):
-        """free_particle with ["x"] used to report 22 generators, 12 of them zero."""
+        """free_particle with ["x"] used to report 22 generators, 12 of them zero;
+        x+k with k bound to 2 is the polynomial x+2."""
         problem = fixture_probe(tmp_path, ("ansatz", "inverse_powers"), powers,
-                                fixture="free_particle.json")
+                                fixture="free_particle.json", parameters={"k": 2})
         assert run("solve", problem) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: ansatz.inverse_powers[{index}]: ")
@@ -579,9 +611,11 @@ class TestInputErrors:
         assert err.count("\n") == 1
 
 
-def fixture_probe(tmp_path, path, value, fixture="oscillator.json"):
+def fixture_probe(tmp_path, path, value, fixture="oscillator.json", parameters=None):
     doc = json.loads(fixture_path(fixture).read_text())
     set_field(doc, path, value)
+    if parameters is not None:
+        doc["parameters"] = parameters
     problem = tmp_path / "probe.json"
     problem.write_text(json.dumps(doc))
     return problem
@@ -591,11 +625,14 @@ class TestBoundedInput:
     """A singular metric, oversized numbers and exponents, and a step count
     past the limit are input errors: exit 2 with one line on stderr."""
 
-    @pytest.mark.parametrize("command", ["verify", "integrals", "simulate"])
+    @pytest.mark.parametrize("command", ["verify", "integrals", "simulate", "killing"])
     def test_singular_metric(self, tmp_path, capsys, command):
-        assert run(command, fixture_probe(tmp_path, ("metric",), [["0"]])) == 2
-        err = capsys.readouterr().err
-        assert err == "input error: metric: singular: det g is identically zero\n"
+        # a parameter bound to 0 is 0
+        for metric, parameters in [([["0"]], None), ([["k"]], {"k": 0})]:
+            assert run(command, fixture_probe(tmp_path, ("metric",), metric,
+                                              parameters=parameters)) == 2
+            err = capsys.readouterr().err
+            assert err == "input error: metric: singular: det g is identically zero\n"
 
     @pytest.mark.parametrize("source", ["1" * 5000 + "*x^2", "x^" + "9" * 5000,
                                         "x^65", "x^(1/65)"],
@@ -680,10 +717,13 @@ def test_wrong_json_type_never_raises(data):
 
 
 # division and ln at a constant zero, an exponent past the bound, a folded power
-# past it, an unknown name, large exponents that stay under the bound, and
-# entries that killing's ring takes or rejects
+# past it, an unknown name, large exponents that stay under the bound, entries
+# that killing's ring takes or rejects, and entries of a parameter k, which the
+# fuzzer binds to a hostile value
 EXPRESSION_MUTATIONS = ["1/0", "ln(0)", "x^65", "(x+1)^64*(x+1)^64", "zeta",
-                        "(x+1)^64", "x^(-64/63)", "exp(x)", "x^(1/2)", "sin(1/x)"]
+                        "(x+1)^64", "x^(-64/63)", "exp(x)", "x^(1/2)", "sin(1/x)",
+                        "k^64", "1/k", "ln(k)", "1/(x+k)"]
+PARAMETER_VALUES = [0, -1, 1e300, 1e-300, 0.1, "symbolic"]
 
 
 def expression_fields(doc):
@@ -700,13 +740,16 @@ def expression_fields(doc):
 @given(st.data())
 @settings(max_examples=40, deadline=20_000)
 def test_mutated_expression_never_raises(data):
-    """One expression of a shipped fixture replaced by, or added to, a hostile one."""
+    """One expression of a shipped fixture replaced by, or added to, a hostile one,
+    with a parameter k bound to a hostile value or left symbolic."""
     fixture = data.draw(st.sampled_from(["oscillator.json", "case1.json", "case3.json",
                                          "case4.json"]))
     doc = json.loads(fixture_path(fixture).read_text())
     path, source = data.draw(st.sampled_from(list(expression_fields(doc))))
     mutation = data.draw(st.sampled_from(EXPRESSION_MUTATIONS))
     set_field(doc, path, data.draw(st.sampled_from([mutation, f"({source}) + {mutation}"])))
+    doc["parameters"] = {**doc.get("parameters", {}),
+                         "k": data.draw(st.sampled_from(PARAMETER_VALUES))}
     command = data.draw(st.sampled_from(["derive", "verify", "integrals", "killing"]))
     with tempfile.TemporaryDirectory() as tmp:
         problem = Path(tmp) / "mutated.json"
@@ -716,6 +759,41 @@ def test_mutated_expression_never_raises(data):
             code = run(command, problem)
     assert code in {0, 1, 2, 3}
     assert "Traceback" not in err.getvalue()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=30_000)
+def test_bound_parameter_is_its_literal(data):
+    """One expression s of a fixture written as (s)*k with k bound to v runs as (s)*(v):
+    the same exit code, stdout, stderr and report but for the problem's path."""
+    fixture = data.draw(st.sampled_from(["oscillator.json", "case1.json", "free_particle.json"]))
+    doc = json.loads(fixture_path(fixture).read_text())
+    commands = ["derive", "verify", "integrals", "killing"]
+    if "ansatz" in doc:
+        doc["ansatz"]["time_basis"] = ["1", "t"]
+        commands.append("solve")
+    path, source = data.draw(st.sampled_from(list(expression_fields(doc))))
+    value = data.draw(st.sampled_from([0, 2, 0.25, -0.5]))
+    parameters = doc.get("parameters", {})
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        problem, report = Path(tmp) / "problem.json", Path(tmp) / "report.json"
+        for text, bound in [(f"({source})*k", {"k": value}), (f"({source})*({value})", {})]:
+            set_field(doc, path, text)
+            doc["parameters"] = {**parameters, **bound}
+            problem.write_text(json.dumps(doc))
+            outcomes = []
+            for command in commands:
+                report.unlink(missing_ok=True)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run(command, problem, "--report", report)
+                written = json.loads(report.read_text()) if report.exists() else None
+                if written is not None:
+                    del written["problem"]
+                outcomes.append((command, code, out.getvalue(), err.getvalue(), written))
+            runs.append(outcomes)
+    assert runs[0] == runs[1]
 
 
 # hostile ansatz entries: ln and inverse atoms, a trig product, a fractional power

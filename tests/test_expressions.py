@@ -21,10 +21,11 @@ class TestContext:
             Context(())
 
     def test_numeric_bindings_are_exact(self):
-        ctx = Context(("x",), parameters={"a": 0.1, "b": 3})
-        binds = ctx.numeric_bindings()
-        assert binds[ctx.symbol("a")] == sp.Rational(1, 10)
-        assert binds[ctx.symbol("b")] == 3
+        ctx = Context(("x",), parameters={"a": 0.1, "b": 3, "c": "symbolic"})
+        assert ctx.symbol("a") == sp.Rational(1, 10)
+        assert ctx.symbol("b") == 3
+        assert ctx.symbol("c") == sp.Symbol("c", real=True)
+        assert parse("a*x + c", ctx) == ctx.xs[0] / 10 + sp.Symbol("c", real=True)
 
 
 class TestParse:

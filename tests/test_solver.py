@@ -453,6 +453,22 @@ class TestMembership:
             "Zt", (GeneratorOrder(1, (0,)), GeneratorOrder(0, (0,))))
         assert contains(basis, closed)
 
+    def test_no_derivative_taken(self, monkeypatch):
+        """Membership never differentiates: on a basis with ln t atoms its ring
+        builds no derivative table."""
+        p = load_problem(fixture_path("case2_solver.json"))
+        basis = solve(p.L, p.ansatz)
+        calls = []
+        diff = sp.diff
+
+        def spy(e, *variables, **kwargs):
+            calls.append((e, variables))
+            return diff(e, *variables, **kwargs)
+
+        monkeypatch.setattr(sp, "diff", spy)
+        assert all(contains(basis, X) for X in p.candidates)
+        assert calls == []
+
     @pytest.mark.parametrize("boundary", [{"f": ["0", "0"]}, {}], ids=["given-f", "free-f"])
     def test_bound_parameter_enters_as_its_value(self, tmp_path, boundary):
         """xi0 = k with k bound to 2 is 2 S2, as verify finds."""
