@@ -25,7 +25,7 @@ from .conservation import total_integral
 from .dynamics import (IntegrationError, SymbolicParameterError, drift, evaluate_integral,
                        fit_slope, integrate, require_numeric, write_csv)
 from .geometry import GeometryError, solve_homothetic
-from .normal import DEFAULT_SEED, NonNormalizableError
+from .normal import DEFAULT_SEED
 from .parsing import print_expression
 from .problem import Problem, ProblemError, load_problem
 from .solver import SolverError, UnsupportedEquationError, contains, solve
@@ -94,8 +94,6 @@ def _zero_status_entry(result):
             result.witness.items(), key=lambda kv: str(kv[0])
         )}
         entry["witness_value"] = result.witness_value
-    if result.cleared_denominator is not None:
-        entry["cleared_denominator"] = _pretty(result.cleared_denominator)
     return entry
 
 
@@ -319,7 +317,7 @@ def main(argv=None) -> int:
     except ProblemError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (UnsupportedEquationError, NonNormalizableError, SymbolicParameterError) as exc:
+    except (UnsupportedEquationError, SymbolicParameterError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except CheckFailed as exc:

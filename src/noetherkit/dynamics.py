@@ -148,13 +148,15 @@ def integrate(
     for k in range(steps):
         try:
             state = step(t, dt, *state)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            # a finite sum has finite terms; an overflowing sum of finite terms is rare
+            if not (isfinite(sum(state)) or all(map(isfinite, state))):
+                raise IntegrationError(f"non-finite state at step {k+1}, t={t+dt}")
+        # TypeError: a fractional power of a negative number is complex, in the step
+        # or in the state it returns
+        except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
             raise IntegrationError(
                 f"step {k} at t={t}: {exc}; state={list(state)}"
             ) from exc
-        # a finite sum has finite terms; an overflowing sum of finite terms is rare
-        if not (isfinite(sum(state)) or all(map(isfinite, state))):
-            raise IntegrationError(f"non-finite state at step {k+1}, t={t+dt}")
         t = t_start + (k + 1) * dt
         flat.extend(state)
     # t_start + k * dt for every k, as the loop computes t

@@ -13,7 +13,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import SDM
 
 from .context import Context
-from .normal import is_zero
+from .normal import UnsupportedEquationError, _Ring, is_zero
 
 
 class GeometryError(ValueError):
@@ -215,8 +215,7 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
     n = ctx.dimension
     xs = ctx.xs
     # imported here: the solver imports this module through lagrangian
-    from .solver import (MAX_UNKNOWNS, UnsupportedEquationError, _Ring, _spatial_monomials,
-                         rational_nullspace)
+    from .solver import MAX_UNKNOWNS, _spatial_monomials, rational_nullspace
 
     # C(n + degree, n) monomials of total degree <= degree, counted before any is built
     count = n * math.comb(n + degree, n) + 1
@@ -235,7 +234,7 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
     omega = {f.base: f.exp % 1 for f in sp.Mul.make_args(first)
              if f.is_Pow and f.exp.is_Rational and not f.exp.is_Integer}
     h = (entries / sp.Mul(*(p**r for p, r in omega.items()))).tolist()
-    R = _Ring(ctx, [*sum(h, []), *(r / p for p, r in omega.items())], xs)
+    R = _Ring([*sum(h, []), *(r / p for p, r in omega.items())], xs)
     mons = _spatial_monomials(xs, degree)
     # unknown c is U^(c + 1): the components' coefficients first, psi last
     comps = [sum(R.U ** (i * len(mons) + k + 1) * R.lift(mon) for k, mon in enumerate(mons))

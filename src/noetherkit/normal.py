@@ -1,26 +1,31 @@
-"""Canonical normal form and the zero decision procedure.
+"""The exact kernel: one ring for every zero, rank and singularity decision.
 
-The supported class is finite sums of terms
-
-    rational coefficient * monomial in the symbols * atomic factors,
-
-where an atomic factor is sin/cos/exp of a polynomial argument with rational
-coefficients, or an integer power of ln of such an argument.  Products of
-trigonometric factors are rewritten product-to-sum so that equal expressions
-collapse to term-identical forms.  Anything else (non-constant denominators,
-nested or non-polynomial function arguments) is flagged NonNormalizable; the
-zero test then falls back to seeded random sampling.
+``_Ring`` lifts expressions into a sparse polynomial ring over QQ and collects
+a lifted expression, linear in a set of unknowns, over independent atoms
+into sparse rows over QQ: an expression is identically zero exactly when it
+has no rows.  The atoms are sin/cos/exp of a polynomial argument with
+rational coefficients and ln of an irreducible polynomial or of a prime.
+``normalize`` is the canonical form of the atom products the rows are keyed
+by: products of trigonometric factors are rewritten product-to-sum, so that
+equal products collapse to term-identical forms.  ``is_zero`` decides in the
+ring, and samples at seeded random points only for the witness of a NonZero
+verdict and for input outside the ring's class.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.matrices.sdm import SDM
+from sympy.polys.rings import ring
 from sympy.simplify.fu import TR8
 
 DEFAULT_SEED = 20200513
@@ -30,8 +35,8 @@ SAMPLE_RANGE = (-2.0, 2.0)
 _ATOM_FUNCS = (sp.sin, sp.cos, sp.exp)
 
 
-class NonNormalizableError(ValueError):
-    """Expression is outside the canonical-form class."""
+class UnsupportedEquationError(ValueError):
+    """An expression is outside the class ``_Ring`` and ``normalize`` represent."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,6 @@ class ZeroResult:
     status: ZeroStatus
     witness: Optional[dict] = None
     witness_value: Optional[float] = None
-    cleared_denominator: Optional[sp.Expr] = None
     samples: int = 0
 
     def __bool__(self) -> bool:
@@ -100,33 +104,25 @@ def _check_factor(factor: sp.Expr) -> None:
     if base is sp.E:
         # exp factors present themselves as E**arg; powers fold into the arg
         if not polynomial_argument(expo):
-            raise NonNormalizableError(f"non-polynomial argument in {factor}")
+            raise UnsupportedEquationError(f"non-polynomial argument in {factor}")
         return
     if base.is_Symbol:
         if not expo.is_Integer:
-            raise NonNormalizableError(f"non-integer power {factor}")
+            raise UnsupportedEquationError(f"non-integer power {factor}")
         return
-    if isinstance(base, _ATOM_FUNCS):
-        if not (expo.is_Integer and expo == 1):
-            raise NonNormalizableError(f"unreduced function power {factor}")
+    if isinstance(base, (*_ATOM_FUNCS, sp.log)):
+        # product-to-sum reduces the powers of sin and cos; those of ln are factors
+        if not (expo == 1 or isinstance(base, sp.log) and expo.is_Integer and expo > 0):
+            raise UnsupportedEquationError(f"unsupported function power {factor}")
         if not polynomial_argument(base.args[0]):
-            raise NonNormalizableError(f"non-polynomial argument in {base}")
+            raise UnsupportedEquationError(f"non-polynomial argument in {base}")
         return
-    if isinstance(base, sp.log):
-        if not (expo.is_Integer and expo > 0):
-            raise NonNormalizableError(f"unsupported log power {factor}")
-        if not polynomial_argument(base.args[0]):
-            raise NonNormalizableError(f"non-polynomial argument in {base}")
-        return
-    raise NonNormalizableError(f"unsupported factor {factor}")
+    raise UnsupportedEquationError(f"unsupported factor {factor}")
 
 
 def normalize(e: sp.Expr) -> NormalForm:
-    """Canonical form of ``e``; raises NonNormalizableError outside the class.
-
-    Integer powers of a symbol, negative ones included, are atoms, so 1/t-type
-    time-basis functions normalize.
-    """
+    """Canonical form of ``e``, a polynomial in sin/cos/exp/ln atoms and symbols (integer
+    powers, negative ones included); raises UnsupportedEquationError outside that class."""
     e = _trig_expand(sp.sympify(e))
     collected: dict[sp.Expr, sp.Rational] = {}
     for term in sp.Add.make_args(e):
@@ -137,7 +133,7 @@ def normalize(e: sp.Expr) -> NormalForm:
                 coeff *= factor
                 continue
             if factor.is_number:
-                raise NonNormalizableError(f"non-rational constant {factor}")
+                raise UnsupportedEquationError(f"non-rational constant {factor}")
             _check_factor(factor)
             atoms.append(factor)
         key = sp.Mul(*atoms)
@@ -150,18 +146,6 @@ def normalize(e: sp.Expr) -> NormalForm:
         (k, collected[k]) for k in sorted(collected, key=sp.default_sort_key)
     )
     return NormalForm(terms)
-
-
-def clear_denominator(e: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
-    """Return (numerator, denominator) with the denominator cancelled out.
-
-    Zero-testing the numerator is equivalent to zero-testing ``e`` away from
-    the denominator's zero set.
-    """
-    e = sp.sympify(e)
-    together = sp.cancel(sp.together(e))
-    numer, denom = sp.fraction(together)
-    return sp.expand(numer), denom
 
 
 def sample_points(symbols, seed: int) -> list[list[float]]:
@@ -210,40 +194,182 @@ def _sampled_values(e: sp.Expr, seed: int):
     return out
 
 
+def _ln_terms(arg: sp.Expr) -> tuple[tuple[sp.Expr, int], ...]:
+    """ln(c prod p^k) as ln|c| + sum k ln|p|, ln|c| over the primes of c: ln|p| is the real
+    antiderivative of p'/p, so ln(1-x) and ln(x-1) share the atom ln(x-1)."""
+    c, factors = sp.factor_list(arg)
+    c = abs(c)
+    if max(c.p, c.q) > 2**64:  # too long to factor
+        raise UnsupportedEquationError(f"non-rational constant {sp.log(c)}")
+    primes = [*sp.factorint(c.p).items(), *((q, -k) for q, k in sp.factorint(c.q).items())]
+    return tuple((sp.log(q), k) for q, k in (*primes, *factors))
+
+
+class _Ring:
+    """The polynomial ring over QQ that expressions lift into, and its derivation.
+
+    Generators: U, whose power U^(c+1) stands for unknown c (the expressions
+    a caller collects are linear in the unknowns, so a term holds one power
+    of U and monomials stay short); ``variables`` and the other free symbols
+    of the input; one per ln atom, and one per sin, cos or exp atom, of the
+    input or of an atom's derivative by one of ``variables``; one inv_p per
+    irreducible factor p of a denominator, with d(inv_p) = -inv_p^2 d(p).
+    An ln of a polynomial lifts to a sum of ln atoms (``_ln_terms``).  The
+    derivation ``d`` takes only ``variables``: a caller that never
+    differentiates passes none.
+    """
+
+    def __init__(self, exprs: Iterable[sp.Expr], variables: Sequence[sp.Symbol] = ()):
+        self.vars = tuple(variables)
+        # ln expression -> its ln atoms; ln atom -> None; sin, cos, exp atom -> None;
+        # denominator -> (content, factors); factor -> its inverse generator
+        self.logs, self.lns, self.atoms, self.factored, self.inv = {}, {}, {}, {}, {}
+        symbols = set()
+        for e in exprs:
+            self._scan(e)
+            symbols |= e.free_symbols
+        poly = (*self.vars, *sorted(symbols - set(self.vars), key=sp.default_sort_key))
+        # a monomial's exponents up to key_end key its row directly; those of the
+        # sin, cos and exp atoms, up to atom_end, through their normal form
+        self.poly_end = 1 + len(poly)
+        self.key_end = self.poly_end + len(self.lns)
+        self.atom_end = self.key_end + len(self.atoms)
+        # the same generator names for the same count share sympy's cached ring
+        self.ring, self.U, *gens = ring(sp.symbols(f"_g:{self.atom_end + len(self.inv)}"), QQ)
+        self.gen = dict(zip((*poly, *self.lns, *self.atoms), gens))
+        self.inv = dict(zip(self.inv, gens[self.atom_end - 1:]))
+        self.lift = functools.cache(self._lift)
+        # the normal form of the product of the sin, cos and exp atoms to some exponents
+        self.form = functools.cache(lambda exponents: [(k, QQ.from_sympy(c)) for k, c in normalize(
+            sp.Mul(*(a**k for a, k in zip(self.atoms, exponents)))).terms])
+        self.tables = {}
+        for v in self.vars:
+            table = self.tables[v] = [(poly.index(v) + 1, self.ring.one)]
+            table += [(i, self.lift(sp.diff(a, v)))
+                      for i, a in enumerate((*self.lns, *self.atoms), self.poly_end)]
+            # a factor holds no inverse, so its derivative needs the entries above only
+            table += [(i, -g**2 * self.d(self.lift(p), v))
+                      for i, (p, g) in enumerate(self.inv.items(), self.atom_end)]
+
+    def _scan(self, e: sp.Expr) -> None:
+        """Record the atoms of e and of their derivatives, and the factors of denominators."""
+        for a in sp.preorder_traversal(e):
+            if isinstance(a, (*_ATOM_FUNCS, sp.log)) and a not in self.logs and a not in self.atoms:
+                if not polynomial_argument(a.args[0]):
+                    raise UnsupportedEquationError(f"non-polynomial argument in {a}")
+                if isinstance(a, sp.log):
+                    self.logs[a] = _ln_terms(a.args[0])
+                    new = [p for p, _ in self.logs[a] if p not in self.lns]
+                    self.lns.update((p, None) for p in new)
+                elif a.args[0].is_number:
+                    raise UnsupportedEquationError(f"non-rational constant {a}")
+                else:
+                    new = [a]
+                    self.atoms[a] = None
+                for p in new:
+                    for v in self.vars:
+                        self._scan(sp.diff(p, v))
+            elif a.is_Pow and a.exp.is_negative and a.base not in self.factored:
+                c, numer, denom = sp.factor_list(a.base, frac=True)
+                # a factor of the base's own denominator divides: a negative exponent
+                self.factored[a.base] = c, numer + [(p, -k) for p, k in denom]
+                for p, _ in numer + denom:
+                    self._scan(p)
+                self.inv.update((p, None) for p, _ in numer)
+
+    def _lift(self, e: sp.Expr):
+        """The ring image of a scanned expression; UnsupportedEquationError outside the class."""
+        if e.is_Rational:
+            return self.ring(QQ(int(e.p), int(e.q)))
+        if e in self.gen:
+            return self.gen[e]
+        if e in self.logs:
+            return sum((k * self.gen[p] for p, k in self.logs[e]), self.ring.zero)
+        if e.is_Add or e.is_Mul:
+            return (sum if e.is_Add else math.prod)(map(self.lift, e.args))
+        if not (e.is_Pow and e.exp.is_Integer):
+            raise UnsupportedEquationError(f"{'non-integer power' if e.is_Pow else 'factor'} {e}")
+        if e.exp > 0:
+            return self.lift(e.base) ** int(e.exp)
+        c, factors = self.factored[e.base]
+        n = -int(e.exp)
+        return self.lift(1 / c) ** n * math.prod(
+            self.inv[p] ** (k * n) if k > 0 else self.lift(p) ** (-k * n) for p, k in factors)
+
+    def d(self, e, v: sp.Symbol):
+        """The derivation: de/dv summed over the generators that depend on v."""
+        return sum((e.diff(i) * dg for i, dg in self.tables[v] if dg), self.ring.zero)
+
+    def cleared(self, e):
+        """e times p^k, k the top exponent of inv_p in e: a term's inv_p^j becomes p^(k - j)."""
+        start, top = self.atom_end, e.degrees()[self.atom_end:]
+        groups: dict[tuple, dict] = {}
+        for m, c in e.iterterms():
+            groups.setdefault(m[start:], {})[m[:start] + (0,) * len(top)] = c
+        return sum((self.ring.from_dict(terms)
+                    * math.prod(self.lift(p) ** (k - j) for p, k, j in zip(self.inv, top, inverse))
+                    for inverse, terms in groups.items()), self.ring.zero)
+
+    def rows(self, e, n: int) -> list[dict]:
+        """The sparse QQ rows of e = 0, e linear and homogeneous in the unknowns U^1..U^n.
+
+        A term of the cleared e adds to the row of its polynomial and ln part
+        times each atom product in the normal form of its sin, cos and exp
+        atoms.
+        """
+        acc = collections.defaultdict(lambda: collections.defaultdict(int))
+        for m, c in self.cleared(e).iterterms():
+            if not 0 < m[0] <= n:
+                raise ValueError("internal: an equation is not linear in the unknowns")
+            for key, v in self.form(m[self.key_end:self.atom_end]):
+                acc[m[1:self.key_end], key][m[0] - 1] += c * v
+        return [r for r in ({c: v for c, v in row.items() if v} for row in acc.values()) if r]
+
+    def span(self, exprs: Sequence[sp.Expr]):
+        """sum_i U^(i+1) e_i: unknown i weighs e_i."""
+        return sum((self.U ** (i + 1) * self.lift(e) for i, e in enumerate(exprs)), self.ring.zero)
+
+    def pivots(self, eqs, n: int) -> list[int]:
+        """The pivot columns of the rows of ``eqs``, each linear in U^1..U^n: column j is a
+        pivot exactly when unknown j's function is independent of those before it."""
+        rows = [row for eq in eqs for row in self.rows(eq, n)]
+        return SDM(dict(enumerate(rows)), (len(rows), n), QQ).rref()[1]
+
+
+def exact_zero(e: sp.Expr) -> Optional[bool]:
+    """Whether e is identically zero, decided in ``_Ring``; None outside its class."""
+    try:
+        R = _Ring([e])
+        return not R.rows(R.U * R.lift(e), 1)
+    except UnsupportedEquationError:
+        return None
+
+
 def is_zero(e: sp.Expr, tol: float = 1e-10, seed: int = DEFAULT_SEED) -> ZeroResult:
     """Decide whether ``e`` is identically zero.
 
-    Symbolic route: clear denominators, normalize, empty normal form = Zero.
-    Fallback for non-normalizable input: seeded sampling; NonZero needs a
-    witness above tol * scale, otherwise Undecided.
+    Inside the ring's class the verdict is exact (``exact_zero``), and a
+    NonZero one carries the sample point where e is largest against its terms
+    as witness.  Outside it, seeded sampling: NonZero needs a witness above
+    tol * scale, otherwise Undecided.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     e = sp.sympify(e)
     if e == 0:
         return ZeroResult(ZeroStatus.ZERO)
-    numer, denom = clear_denominator(e)
-    cleared = None if denom == 1 else denom
-    try:
-        form = normalize(numer)
-        if form.is_zero:
-            return ZeroResult(ZeroStatus.ZERO, cleared_denominator=cleared)
-        normal_ok = True
-    except NonNormalizableError:
-        normal_ok = False
-
-    samples = _sampled_values(numer, seed)
+    exact = exact_zero(e)
+    if exact:
+        return ZeroResult(ZeroStatus.ZERO)
+    samples = _sampled_values(e, seed)
     count = len(samples)
     best = None
     for point, value, scale in samples:
         ratio = abs(value) / (tol * max(1.0, scale))
         if best is None or ratio > best[0]:
             best = (ratio, point, value)
-    # a nonempty normal form of independent atoms is nonzero mathematically
-    if best is not None and (best[0] > 1.0 or normal_ok):
-        return ZeroResult(
-            ZeroStatus.NONZERO, witness=best[1], witness_value=best[2],
-            cleared_denominator=cleared, samples=count,
-        )
-    status = ZeroStatus.NONZERO if normal_ok else ZeroStatus.UNDECIDED
-    return ZeroResult(status, cleared_denominator=cleared, samples=count)
+    if best is not None and (best[0] > 1.0 or exact is False):
+        return ZeroResult(ZeroStatus.NONZERO, witness=best[1], witness_value=best[2],
+                          samples=count)
+    status = ZeroStatus.NONZERO if exact is False else ZeroStatus.UNDECIDED
+    return ZeroResult(status, samples=count)

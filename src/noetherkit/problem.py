@@ -13,7 +13,7 @@ import sympy as sp
 from .context import SYMBOLIC, Context, ContextError
 from .geometry import GeometryError, Metric
 from .lagrangian import ApproximateGenerator, GeneratorOrder, ModelError, PerturbedLagrangian
-from .normal import NonNormalizableError, clear_denominator, normalize
+from .normal import exact_zero
 from .parsing import ParseError, parse
 from .solver import AnsatzSpec, SolverError
 
@@ -176,12 +176,8 @@ def load_problem(path) -> Problem:
         raise ProblemError("order", "must be an integer >= 1")
     g = _load_metric(doc, "metric", ctx, required=True)
     # the Lagrangian must be regular: g + eps h is invertible for small eps
-    # exactly when g is; a det outside the normalizable class is not decided
-    try:
-        singular = normalize(clear_denominator(g.entries.det())[0]).is_zero
-    except NonNormalizableError:
-        singular = False
-    if singular:
+    # exactly when g is; a det outside the ring's class is not decided
+    if exact_zero(g.entries.det()):
         raise ProblemError("metric", "singular: det g is identically zero")
     h = _load_metric(doc, "h", ctx, required=False)
     V0 = _parse_expr(doc.get("V0", "0"), ctx, "V0")

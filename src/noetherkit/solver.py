@@ -14,32 +14,24 @@ solutions have no pure-gauge directions to quotient out.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
-import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import SDM
-from sympy.polys.rings import ring
 
 from .conditions import residuals, verify
 from .lagrangian import ApproximateGenerator, GeneratorOrder, PerturbedLagrangian
-from .normal import DEFAULT_SEED, normalize, polynomial_argument
+from .normal import DEFAULT_SEED, UnsupportedEquationError, _Ring
 
 MAX_UNKNOWNS = 10_000
 
 
 class SolverError(ValueError):
     pass
-
-
-class UnsupportedEquationError(SolverError):
-    """An expression of the problem is outside the class the solver's ring represents."""
 
 
 @dataclass(frozen=True)
@@ -70,27 +62,17 @@ class AnsatzSpec:
         )
 
     def check_independent(self, t: sp.Symbol) -> None:
-        """Collocation: the basis evaluated at k + 8 seeded points in [0.3, 2.3]
-        must have rank k (points outside a function's domain are skipped).
-        A basis that spans a constant must list it: only numbers are gauge."""
+        """The basis must be independent over QQ, and the only constants in its span over QQ
+        may be its numbers: only numbers are gauge.  Decided in ``_Ring``: a nonzero
+        combination is a constant (such as ln(2*t) - ln(t)) when its derivative is zero."""
         k = len(self.time_basis)
-        fn = sp.lambdify(t, list(self.time_basis), modules=["math"])
-        # the standard library's generator: the first use of numpy.random
-        # costs several MB of resident memory in a solve that samples nothing else
-        rng = random.Random(DEFAULT_SEED)
-        values = []
-        for _ in range(k + 8):
-            try:
-                values.append(fn(rng.uniform(0.3, 2.3)))
-            except (ValueError, ZeroDivisionError, OverflowError):
-                continue
-        matrix = np.array(values, dtype=float)
-        if not values or np.linalg.matrix_rank(matrix) != k:
+        R = _Ring(self.time_basis, (t,))
+        span = R.span(self.time_basis)
+        if len(R.pivots([span], k)) < k:
             raise SolverError("time basis functions are not independent")
-        with_ones = np.column_stack([matrix, np.ones(len(values))])
-        if not any(b.is_number for b in self.time_basis) and np.linalg.matrix_rank(with_ones) == k:
+        if len(R.pivots([R.d(span, t)], k)) < k - sum(b.is_number for b in self.time_basis):
             raise SolverError(
-                "time basis spans a constant but lists none; write it with 1 in place "
+                "time basis spans a constant that it does not list; write it with 1 in place "
                 'of one element (e.g. ["1", "cos(t)^2"])'
             )
 
@@ -144,11 +126,6 @@ def _spatial_monomials(xs, degree: int, extra=()):
             mons.append(mon)
     mons.extend(extra)
     return mons
-
-
-# -- exact kernel over QQ -------------------------------------------------
-# A linear system is a list of sparse rows {column: QQ}; each coefficient is
-# converted to QQ once, where it is collected.
 
 
 def rational_nullspace(matrix: SDM) -> list[tuple]:
@@ -234,105 +211,6 @@ def _generator(ansatz: Ansatz, name: str, vec: Sequence[sp.Expr]) -> Approximate
     )
 
 
-class _Ring:
-    """The polynomial ring over QQ of one solve, the lift into it and its derivation.
-
-    Generators: U, whose power U^(c+1) stands for unknown c (the equations are
-    linear in the unknowns, so a term holds one power of U and monomials stay
-    short); t, the coordinates and the symbolic parameters; one per sin, cos,
-    exp or ln atom of the input or of an atom's derivative by one of
-    ``variables``; one inv_p per irreducible factor p of a denominator, with
-    d(inv_p) = -inv_p^2 d(p).  The derivation ``d`` takes only ``variables``:
-    a caller that never differentiates passes none.
-    """
-
-    def __init__(self, ctx, exprs: Iterable[sp.Expr], variables: Sequence[sp.Symbol]):
-        self.vars = tuple(variables)
-        # atom -> None, denominator -> (content, factors), factor -> its inverse generator
-        self.atoms, self.factored, self.inv = {}, {}, {}
-        for e in exprs:
-            self._scan(e)
-        poly = (ctx.t, *ctx.xs, *ctx.free_param_symbols())
-        self.poly_end, self.atom_end = 1 + len(poly), 1 + len(poly) + len(self.atoms)
-        self.ring, self.U, *gens = ring([sp.Dummy() for _ in range(self.atom_end + len(self.inv))],
-                                        QQ)
-        self.gen = dict(zip((*poly, *self.atoms), gens))
-        self.inv = dict(zip(self.inv, gens[self.atom_end - 1:]))
-        self.lift = functools.cache(self._lift)
-        # the normal form of the atom product with the exponents ``atoms``
-        self.form = functools.cache(lambda atoms: [(k, QQ.from_sympy(c)) for k, c in normalize(
-            sp.Mul(*(a**k for a, k in zip(self.atoms, atoms)))).terms])
-        self.tables = {}
-        for v in self.vars:
-            table = self.tables[v] = [(poly.index(v) + 1, self.ring.one)]
-            table += [(i, self.lift(sp.diff(a, v))) for i, a in enumerate(self.atoms, self.poly_end)]
-            # a factor holds no inverse, so its derivative needs the entries above only
-            table += [(i, -g**2 * self.d(self.lift(p), v))
-                      for i, (p, g) in enumerate(self.inv.items(), self.atom_end)]
-
-    def _scan(self, e: sp.Expr) -> None:
-        """Record the atoms of e and of their derivatives, and the factors of denominators."""
-        for a in sp.preorder_traversal(e):
-            if isinstance(a, (sp.sin, sp.cos, sp.exp, sp.log)) and a not in self.atoms:
-                if not polynomial_argument(a.args[0]):
-                    raise UnsupportedEquationError(f"non-polynomial argument in {a}")
-                self.atoms[a] = None
-                for v in self.vars:
-                    self._scan(sp.diff(a, v))
-            elif a.is_Pow and a.exp.is_negative and a.base not in self.factored:
-                c, numer, denom = sp.factor_list(a.base, frac=True)
-                # a factor of the base's own denominator divides: a negative exponent
-                self.factored[a.base] = c, numer + [(p, -k) for p, k in denom]
-                for p, _ in numer + denom:
-                    self._scan(p)
-                self.inv.update((p, None) for p, _ in numer)
-
-    def _lift(self, e: sp.Expr):
-        """The ring image of a scanned expression; UnsupportedEquationError outside the class."""
-        if e.is_Rational:
-            return self.ring(QQ(int(e.p), int(e.q)))
-        if e in self.gen:
-            return self.gen[e]
-        if e.is_Add or e.is_Mul:
-            return (sum if e.is_Add else math.prod)(map(self.lift, e.args))
-        if not (e.is_Pow and e.exp.is_Integer):
-            raise UnsupportedEquationError(f"{'non-integer power' if e.is_Pow else 'factor'} {e}")
-        if e.exp > 0:
-            return self.lift(e.base) ** int(e.exp)
-        c, factors = self.factored[e.base]
-        n = -int(e.exp)
-        return self.lift(1 / c) ** n * math.prod(
-            self.inv[p] ** (k * n) if k > 0 else self.lift(p) ** (-k * n) for p, k in factors)
-
-    def d(self, e, v: sp.Symbol):
-        """The derivation: de/dv summed over the generators that depend on v."""
-        return sum((e.diff(i) * dg for i, dg in self.tables[v] if dg), self.ring.zero)
-
-    def cleared(self, e):
-        """e times p^k, k the top exponent of inv_p in e: a term's inv_p^j becomes p^(k - j)."""
-        start, top = self.atom_end, e.degrees()[self.atom_end:]
-        groups: dict[tuple, dict] = {}
-        for m, c in e.iterterms():
-            groups.setdefault(m[start:], {})[m[:start] + (0,) * len(top)] = c
-        return sum((self.ring.from_dict(terms)
-                    * math.prod(self.lift(p) ** (k - j) for p, k, j in zip(self.inv, top, inverse))
-                    for inverse, terms in groups.items()), self.ring.zero)
-
-    def rows(self, e, n: int) -> list[dict]:
-        """The sparse QQ rows of e = 0, e linear and homogeneous in the unknowns U^1..U^n.
-
-        A term of the cleared e adds to the row of its polynomial part times
-        each atom product in the normal form of its atoms.
-        """
-        acc = collections.defaultdict(lambda: collections.defaultdict(int))
-        for m, c in self.cleared(e).iterterms():
-            if not 0 < m[0] <= n:
-                raise SolverError("internal: an equation is not linear in the unknowns")
-            for key, v in self.form(m[self.poly_end:self.atom_end]):
-                acc[m[1:self.poly_end], key][m[0] - 1] += c * v
-        return [r for r in ({c: v for c, v in row.items() if v} for row in acc.values()) if r]
-
-
 def reduce(ansatz: Ansatz) -> LinearSystem:
     """Collect each equation over independent atoms, in ``_Ring``.
 
@@ -340,7 +218,7 @@ def reduce(ansatz: Ansatz) -> LinearSystem:
     ``_Ring.rows`` turns each into sparse rows.
     """
     L, ctx, n = ansatz.L, ansatz.L.ctx, len(ansatz.unknowns)
-    R = _Ring(ctx, [e for m, V in L.parts for e in (*sum(m, []), V)]
+    R = _Ring([e for m, V in L.parts for e in (*sum(m, []), V)]
               + [column.fn for column in ansatz.columns], (ctx.t, *ctx.xs))
     comps = collections.defaultdict(lambda: R.ring.zero)
     for c, column in enumerate(ansatz.columns):
@@ -419,10 +297,8 @@ def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
     table = [slots(S, None if free_f else S.boundary) for S in basis.generators]
     table.append(slots(X, given))
     try:
-        R = _Ring(ctx, [e for row in table for e in row], ())
-        eqs = [sum((R.U ** (j + 1) * R.lift(e) for j, e in enumerate(slot)), R.ring.zero)
-               for slot in zip(*table)]
+        R = _Ring([e for row in table for e in row])
+        eqs = [R.span(slot) for slot in zip(*table)]
     except UnsupportedEquationError:
         return False
-    rows = [row for eq in eqs for row in R.rows(eq, k + 1)]
-    return k not in SDM(dict(enumerate(rows)), (len(rows), k + 1), QQ).rref()[1]
+    return k not in R.pivots(eqs, k + 1)

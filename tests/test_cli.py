@@ -195,8 +195,29 @@ class TestSolve:
         assert code == 0
         assert report["solution_basis"]["nullspace_dim"] == 8
 
-    @pytest.mark.parametrize("basis", [["sin(t)^2", "cos(t)^2"], ["1+t", "t", "t^2"]],
-                             ids=["sin^2,cos^2", "1+t,t,t^2"])
+    def test_sixteen_powers_of_t(self, tmp_path):
+        """1, t, ..., t^15 is independent: its rank is exact, not a float collocation's."""
+        problem = fixture_probe(tmp_path, ("ansatz", "time_basis"),
+                                ["1", "t"] + [f"t^{i}" for i in range(2, 16)],
+                                fixture="free_particle.json")
+        code, report = run_report(tmp_path, "solve", problem)
+        assert code == 0
+        assert report["solution_basis"]["nullspace_dim"] == 10
+
+    def test_potential_that_is_a_log_identity(self, tmp_path):
+        """V0 = ln(x^2) - 2 ln(x) is 0: free_particle's symmetries, none missed."""
+        problem = fixture_probe(tmp_path, ("V0",), "ln(x^2) - 2*ln(x)",
+                                fixture="free_particle.json")
+        code, report = run_report(tmp_path, "solve", problem)
+        golden = json.loads((Path(__file__).parent / "golden" / "solve_free_particle.json")
+                            .read_text())["report"]
+        assert code == 0
+        assert report["solution_basis"] == golden["solution_basis"]
+
+    # ln(2*t) - ln(t) is the constant ln(2), which no listed number spans
+    @pytest.mark.parametrize("basis", [["sin(t)^2", "cos(t)^2"], ["1+t", "t", "t^2"],
+                                       ["1", "ln(2*t)", "ln(t)"]],
+                             ids=["sin^2,cos^2", "1+t,t,t^2", "1,ln(2t),ln(t)"])
     def test_basis_spanning_an_unlisted_constant(self, tmp_path, capsys, basis):
         problem = fixture_probe(tmp_path, ("ansatz", "time_basis"), basis,
                                 fixture="free_particle.json")
@@ -413,6 +434,20 @@ class TestSimulate:
         assert err.startswith("error: non-finite input")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("V0, initial", [("x^2/2 + (-1-x^2)^(1/2)", 1.0),
+                                             ("x^2/2 + x^(4/3)", -1.0)])
+    def test_complex_value_is_input_error(self, tmp_path, capsys, V0, initial):
+        """A fractional power of a negative number is complex in Python's floats."""
+        doc = json.loads(fixture_path("oscillator.json").read_text())
+        doc["V0"] = V0
+        doc["simulation"].update(initial=[initial, 0.0], t_end=0.1, dt=0.01)
+        problem = tmp_path / "complex.json"
+        problem.write_text(json.dumps(doc))
+        assert run("simulate", problem) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 0 at t=0.0: must be real number, not complex; ")
+        assert err.count("\n") == 1
+
     def test_non_finite_epsilon_override(self, capsys, sim_problem):
         assert run("simulate", sim_problem, "--epsilon", "nan") == 2
         err = capsys.readouterr().err
@@ -627,8 +662,9 @@ class TestBoundedInput:
 
     @pytest.mark.parametrize("command", ["verify", "integrals", "simulate", "killing"])
     def test_singular_metric(self, tmp_path, capsys, command):
-        # a parameter bound to 0 is 0
-        for metric, parameters in [([["0"]], None), ([["k"]], {"k": 0})]:
+        # a parameter bound to 0 is 0; ln(x^2) = 2 ln(x) wherever both are defined
+        for metric, parameters in [([["0"]], None), ([["k"]], {"k": 0}),
+                                   ([["ln(x^2) - 2*ln(x)"]], None)]:
             assert run(command, fixture_probe(tmp_path, ("metric",), metric,
                                               parameters=parameters)) == 2
             err = capsys.readouterr().err
@@ -802,6 +838,12 @@ ANSATZ_MUTATIONS = ["ln(t)", "1/t", "ln(t^2+1)", "sin(t)^2", "exp(t)*sin(t)", "1
 # and for a candidate's entries, which membership lifts into the solver's ring: a
 # velocity and an atom of a non-polynomial argument
 CANDIDATE_MUTATIONS = ANSATZ_MUTATIONS + ["xdot", "sin(1/x)"]
+# whole time bases: dependent, spanning an unlisted constant, 16 powers of t, and
+# ones with ln contents and number atoms
+BASIS_MUTATIONS = [["t", "2*t"], ["sin(t)^2", "cos(t)^2"], ["1", "ln(t^2)", "ln(t)"],
+                   ["1", "t"] + [f"t^{i}" for i in range(2, 16)], ["1", "ln(2*t)", "ln(t)"],
+                   ["1", "ln(2*t)"], ["1", "sin(1)*t"], ["1", "t^(1/2)"]]
+DEGREE_MUTATIONS = [0, 2, -1, 10**6, True, 1.5]
 
 
 @given(st.data())
@@ -814,7 +856,7 @@ def test_mutated_ansatz_never_raises(data):
     doc = json.loads(fixture_path(fixture).read_text())
     doc["ansatz"]["time_basis"] = ["1", "t"]
     field = data.draw(st.sampled_from(["time_basis", "V0", "V1", "inverse_powers",
-                                       "candidates"]))
+                                       "candidates", "basis", "spatial_degree"]))
     mutation = data.draw(st.sampled_from(CANDIDATE_MUTATIONS if field == "candidates"
                                          else ANSATZ_MUTATIONS))
     if field == "candidates":
@@ -826,6 +868,10 @@ def test_mutated_ansatz_never_raises(data):
         set_field(doc, path, data.draw(st.sampled_from([mutation, f"({source}) + {mutation}"])))
     elif field == "time_basis":
         doc["ansatz"]["time_basis"].append(mutation)
+    elif field in ("basis", "spatial_degree"):
+        mutations = BASIS_MUTATIONS if field == "basis" else DEGREE_MUTATIONS
+        doc["ansatz"]["time_basis" if field == "basis" else field] = data.draw(
+            st.sampled_from(mutations))
     elif field == "inverse_powers":
         doc["ansatz"]["inverse_powers"] = [mutation]
     else:
@@ -836,6 +882,43 @@ def test_mutated_ansatz_never_raises(data):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = run("solve", problem)
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+
+
+# hostile simulation entries: a step count past the limit (rejected before any step),
+# a reversed or zero step, a state that overflows, and epsilons of no scaling fit
+SIMULATION_MUTATIONS = [("t_end", 1e300), ("dt", -0.01), ("dt", 0.0), ("t_start", 10.0),
+                        ("initial", [1e300, 0.0, 0.0, 0.0]), ("initial", [-1.0, 0.5]),
+                        ("epsilons", [0.0, -1.0, 0.0]), ("epsilons", [])]
+# fractional powers of a negative number, which are complex in floats
+SIMULATION_EXPRESSIONS = EXPRESSION_MUTATIONS + ["(-1-x^2)^(1/2)", "x^(4/3)"]
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=30_000)
+def test_mutated_simulation_never_raises(data):
+    """simulate on a shipped fixture cut to 200 RK4 steps, with one hostile expression or
+    simulation entry, and a parameter k bound to a hostile value or left symbolic."""
+    fixture = data.draw(st.sampled_from(["oscillator.json", "case4.json"]))
+    doc = json.loads(fixture_path(fixture).read_text())
+    sim = doc["simulation"]
+    sim["t_end"] = sim["t_start"] + 200 * sim["dt"]
+    if data.draw(st.booleans()):
+        path, source = data.draw(st.sampled_from(list(expression_fields(doc))))
+        mutation = data.draw(st.sampled_from(SIMULATION_EXPRESSIONS))
+        set_field(doc, path, data.draw(st.sampled_from([mutation, f"({source}) + {mutation}"])))
+    else:
+        key, value = data.draw(st.sampled_from(SIMULATION_MUTATIONS))
+        sim[key] = value
+    doc["parameters"] = {**doc.get("parameters", {}),
+                         "k": data.draw(st.sampled_from(PARAMETER_VALUES))}
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "mutated.json"
+        problem.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("simulate", problem)
     assert code in {0, 1, 2, 3}
     assert "Traceback" not in err.getvalue()
 

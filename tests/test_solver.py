@@ -115,6 +115,7 @@ class TestAnsatzSpec:
 
     @pytest.mark.parametrize("basis", [
         ("1", "t", "1 + t"), ("ln(t)", "ln(t^2)"), ("0",), ("t", "0"),
+        ("1/t", "1/(1+t)", "1/(t*(t+1))"),
     ])
     def test_collocation_rejects_dependent(self, ctx1, basis):
         t = ctx1.t
