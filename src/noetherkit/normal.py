@@ -5,11 +5,14 @@ a lifted expression, linear in a set of unknowns, over independent atoms
 into sparse rows over QQ: an expression is identically zero exactly when it
 has no rows.  The atoms are sin/cos/exp of a polynomial argument with
 rational coefficients and ln of an irreducible polynomial or of a prime.
-``normalize`` is the canonical form of the atom products the rows are keyed
-by: products of trigonometric factors are rewritten product-to-sum, so that
-equal products collapse to term-identical forms.  ``is_zero`` decides in the
-ring, and samples at seeded random points only for the witness of a NonZero
-verdict and for input outside the ring's class.
+The ring reduces a product of sin, cos and exp atoms product-to-sum itself
+(``_Ring.form``) to rational multiples of exp(E) cos(phi) and exp(E) sin(phi),
+E and phi polynomials of the ring; with rational coefficients these are
+independent even where arguments differ by a rational constant
+(Lindemann-Weierstrass).  ``normalize`` reads its canonical form off the
+ring.  ``is_zero`` decides in the ring, and samples at seeded random points
+only for the witness of a NonZero verdict and for input outside the ring's
+class.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import SDM
 from sympy.polys.rings import ring
-from sympy.simplify.fu import TR8
 
 DEFAULT_SEED = 20200513
 SAMPLE_COUNT = 64
@@ -77,17 +79,6 @@ class ZeroResult:
         return self.status is ZeroStatus.UNDECIDED and self.samples >= SAMPLE_COUNT // 2
 
 
-def _trig_expand(e: sp.Expr) -> sp.Expr:
-    """Expand and rewrite trig products to sums until a fixed point (8 rounds at most)."""
-    e = sp.expand(e)
-    for _ in range(8):
-        e2 = sp.expand(TR8(e))
-        if e2 == e:
-            break
-        e = e2
-    return e
-
-
 def polynomial_argument(arg: sp.Expr) -> bool:
     syms = tuple(arg.free_symbols)
     if not syms:
@@ -97,55 +88,6 @@ def polynomial_argument(arg: sp.Expr) -> bool:
     except sp.PolynomialError:
         return False
     return all(c.is_Rational for c in poly.coeffs())
-
-
-def _check_factor(factor: sp.Expr) -> None:
-    base, expo = factor.as_base_exp()
-    if base is sp.E:
-        # exp factors present themselves as E**arg; powers fold into the arg
-        if not polynomial_argument(expo):
-            raise UnsupportedEquationError(f"non-polynomial argument in {factor}")
-        return
-    if base.is_Symbol:
-        if not expo.is_Integer:
-            raise UnsupportedEquationError(f"non-integer power {factor}")
-        return
-    if isinstance(base, (*_ATOM_FUNCS, sp.log)):
-        # product-to-sum reduces the powers of sin and cos; those of ln are factors
-        if not (expo == 1 or isinstance(base, sp.log) and expo.is_Integer and expo > 0):
-            raise UnsupportedEquationError(f"unsupported function power {factor}")
-        if not polynomial_argument(base.args[0]):
-            raise UnsupportedEquationError(f"non-polynomial argument in {base}")
-        return
-    raise UnsupportedEquationError(f"unsupported factor {factor}")
-
-
-def normalize(e: sp.Expr) -> NormalForm:
-    """Canonical form of ``e``, a polynomial in sin/cos/exp/ln atoms and symbols (integer
-    powers, negative ones included); raises UnsupportedEquationError outside that class."""
-    e = _trig_expand(sp.sympify(e))
-    collected: dict[sp.Expr, sp.Rational] = {}
-    for term in sp.Add.make_args(e):
-        coeff = sp.Integer(1)
-        atoms = []
-        for factor in sp.Mul.make_args(term):
-            if factor.is_Rational:
-                coeff *= factor
-                continue
-            if factor.is_number:
-                raise UnsupportedEquationError(f"non-rational constant {factor}")
-            _check_factor(factor)
-            atoms.append(factor)
-        key = sp.Mul(*atoms)
-        coeff = collected.get(key, sp.Integer(0)) + coeff
-        if coeff == 0:
-            collected.pop(key, None)
-        else:
-            collected[key] = coeff
-    terms = tuple(
-        (k, collected[k]) for k in sorted(collected, key=sp.default_sort_key)
-    )
-    return NormalForm(terms)
 
 
 def sample_points(symbols, seed: int) -> list[list[float]]:
@@ -230,7 +172,7 @@ class _Ring:
             symbols |= e.free_symbols
         poly = (*self.vars, *sorted(symbols - set(self.vars), key=sp.default_sort_key))
         # a monomial's exponents up to key_end key its row directly; those of the
-        # sin, cos and exp atoms, up to atom_end, through their normal form
+        # sin, cos and exp atoms, up to atom_end, through their product-to-sum form
         self.poly_end = 1 + len(poly)
         self.key_end = self.poly_end + len(self.lns)
         self.atom_end = self.key_end + len(self.atoms)
@@ -239,9 +181,7 @@ class _Ring:
         self.gen = dict(zip((*poly, *self.lns, *self.atoms), gens))
         self.inv = dict(zip(self.inv, gens[self.atom_end - 1:]))
         self.lift = functools.cache(self._lift)
-        # the normal form of the product of the sin, cos and exp atoms to some exponents
-        self.form = functools.cache(lambda exponents: [(k, QQ.from_sympy(c)) for k, c in normalize(
-            sp.Mul(*(a**k for a, k in zip(self.atoms, exponents)))).terms])
+        self.form = functools.cache(self._form)
         self.tables = {}
         for v in self.vars:
             table = self.tables[v] = [(poly.index(v) + 1, self.ring.one)]
@@ -296,6 +236,34 @@ class _Ring:
         return self.lift(1 / c) ** n * math.prod(
             self.inv[p] ** (k * n) if k > 0 else self.lift(p) ** (-k * n) for p, k in factors)
 
+    def _form(self, exponents: tuple[int, ...]) -> list[tuple[tuple, object]]:
+        """The product of the sin, cos and exp atoms to ``exponents``, product-to-sum.
+
+        A pair ((E, is_cos, phi), c) stands for c exp(E) cos(phi) or c exp(E) sin(phi),
+        c in QQ, E and phi in the ring's polynomial part; phi's leading coefficient is
+        positive, sin(0) is dropped and cos(0) is 1.
+        """
+        E, terms = self.ring.zero, {(True, self.ring.zero): QQ.one}
+        for atom, k in zip(self.atoms, exponents):
+            a = self.lift(atom.args[0])
+            if isinstance(atom, sp.exp):
+                E += k * a
+                continue
+            for _ in range(k):
+                acc = collections.defaultdict(lambda: QQ.zero)
+                for (is_cos, phi), c in terms.items():
+                    # cos p cos a = (cos(p-a) + cos(p+a))/2, sin p cos a = (sin(p+a) + sin(p-a))/2,
+                    # sin p sin a = (cos(p-a) - cos(p+a))/2, cos p sin a = (sin(p+a) - sin(p-a))/2
+                    for s in (1, -1):
+                        h = c / 2 if isinstance(atom, sp.cos) else (c if is_cos else -c) * s / 2
+                        cos, psi = is_cos == isinstance(atom, sp.cos), phi + s * a
+                        if psi.LC < 0:
+                            psi, h = -psi, h if cos else -h
+                        if psi or cos:
+                            acc[cos, psi] += h
+                terms = {key: c for key, c in acc.items() if c}
+        return [((E, *key), c) for key, c in terms.items()]
+
     def d(self, e, v: sp.Symbol):
         """The derivation: de/dv summed over the generators that depend on v."""
         return sum((e.diff(i) * dg for i, dg in self.tables[v] if dg), self.ring.zero)
@@ -314,7 +282,7 @@ class _Ring:
         """The sparse QQ rows of e = 0, e linear and homogeneous in the unknowns U^1..U^n.
 
         A term of the cleared e adds to the row of its polynomial and ln part
-        times each atom product in the normal form of its sin, cos and exp
+        times each key of the product-to-sum form of its sin, cos and exp
         atoms.
         """
         acc = collections.defaultdict(lambda: collections.defaultdict(int))
@@ -334,6 +302,27 @@ class _Ring:
         pivot exactly when unknown j's function is independent of those before it."""
         rows = [row for eq in eqs for row in self.rows(eq, n)]
         return SDM(dict(enumerate(rows)), (len(rows), n), QQ).rref()[1]
+
+
+def normalize(e: sp.Expr) -> NormalForm:
+    """Canonical form of ``e``, read off ``_Ring``: each term is a monomial times
+    exp(E) cos(phi) or exp(E) sin(phi), as ``_Ring.form`` keys it, with its rational
+    coefficient.  Denominators are cleared, and their product divides every term.
+    Raises UnsupportedEquationError outside the ring's class."""
+    e = sp.sympify(e)
+    R = _Ring([e])
+    lifted = R.lift(e)
+    exprs = (sp.S.One, *R.gen, *(1 / p for p in R.inv))  # U's image is unused
+    denominator = sp.Mul(*(p**-k for p, k in zip(R.inv, lifted.degrees()[R.atom_end:])))
+    collected = collections.defaultdict(lambda: QQ.zero)
+    for m, c in R.cleared(lifted).iterterms():
+        monomial = sp.Mul(denominator, *(g**k for g, k in zip(R.gen, m[1:R.key_end])))
+        for (E, is_cos, phi), v in R.form(m[R.key_end:R.atom_end]):
+            trig = (sp.cos if is_cos else sp.sin)(phi.as_expr(*exprs))
+            sign, key = (monomial * sp.exp(E.as_expr(*exprs)) * trig).as_coeff_Mul()
+            collected[key] += c * v * QQ.from_sympy(sign)
+    return NormalForm(tuple((k, QQ.to_sympy(collected[k]))
+                            for k in sorted(collected, key=sp.default_sort_key) if collected[k]))
 
 
 def exact_zero(e: sp.Expr) -> Optional[bool]:

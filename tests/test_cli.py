@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import noetherkit.cli
 import noetherkit.dynamics
-from noetherkit import fixture_path, load_problem
+from noetherkit import fixture_path, load_problem, noether_residuals
 from noetherkit.cli import main
 from noetherkit.context import RESERVED
 from noetherkit.parsing import FUNCTIONS
+from noetherkit.solver import solve
 
 
 def run(*argv):
@@ -213,6 +214,35 @@ class TestSolve:
                             .read_text())["report"]
         assert code == 0
         assert report["solution_basis"] == golden["solution_basis"]
+
+    def test_exp_with_a_constant_offset(self, tmp_path):
+        """exp(x+1) = e exp(x), and e is independent over QQ: the generators of exp(x)."""
+        bases = {}
+        for potential in ("exp(x)", "exp(x+1)"):
+            problem = fixture_probe(tmp_path, ("V0",), potential, fixture="free_particle.json")
+            code, report = run_report(tmp_path, "solve", problem)
+            assert code == 0
+            bases[potential] = report["solution_basis"]
+        assert bases["exp(x+1)"] == bases["exp(x)"]
+        assert bases["exp(x+1)"]["nullspace_dim"] == 2
+        # d/dt and eps d/dt
+        assert [g["xi"] for g in bases["exp(x+1)"]["generators"]] == [["1", "0"], ["0", "1"]]
+
+    def test_trig_product_with_a_constant_offset(self, tmp_path):
+        """sin(x+1) sin(x) = (cos(1) - cos(2x+1))/2 keys cos(1) apart from 1."""
+        problem = fixture_probe(tmp_path, ("V0",), "sin(x+1)*sin(x)", fixture="free_particle.json")
+        code, report = run_report(tmp_path, "solve", problem)
+        assert code == 0
+        assert report["solution_basis"]["nullspace_dim"] == 2
+        p = load_problem(problem)
+        for X in solve(p.L, p.ansatz).generators:
+            assert all(sp.expand(r) == 0 for r in noether_residuals(p.L, X)), X.name
+
+    def test_number_atom_unsupported(self, tmp_path, capsys):
+        """sin(1) as an input atom stays outside the ring: nothing keys it apart from 1."""
+        problem = fixture_probe(tmp_path, ("V0",), "sin(1)*x", fixture="free_particle.json")
+        assert run("solve", problem) == 3
+        assert capsys.readouterr().err == "unsupported: non-rational constant sin(1)\n"
 
     # ln(2*t) - ln(t) is the constant ln(2), which no listed number spans
     @pytest.mark.parametrize("basis", [["sin(t)^2", "cos(t)^2"], ["1+t", "t", "t^2"],

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and the exact
+kernel imports no second canonicaliser."""
 
 import ast
 from pathlib import Path
@@ -31,4 +32,19 @@ def test_no_unused_imports():
     found = [f"{path.name}: {name}"
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
              for name in unused_imports(path.read_text())]
+    assert found == []
+
+
+def imported_modules(source: str) -> set[str]:
+    tree = ast.parse(source)
+    return ({alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+            | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)})
+
+
+def test_kernel_has_one_canonicaliser():
+    """normal.py reduces trig and exp products in its own ring, with no sympy.simplify rewrite."""
+    assert "sympy.simplify.fu" in imported_modules("from sympy.simplify.fu import TR8\n")
+    found = [m for m in imported_modules((PACKAGE / "normal.py").read_text())
+             if m == "sympy.simplify" or m.startswith("sympy.simplify.")]
     assert found == []

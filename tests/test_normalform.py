@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import noetherkit
-from noetherkit import ZeroStatus, is_zero, normalize
+from conftest import flat_lagrangian
+from noetherkit import Context, ZeroStatus, is_zero, normalize, print_expression
 from noetherkit.normal import (
     DEFAULT_SEED,
     SAMPLE_COUNT,
@@ -17,6 +18,7 @@ from noetherkit.normal import (
     UnsupportedEquationError,
     sample_points,
 )
+from noetherkit.solver import AnsatzSpec, solve
 
 t, x, y = sp.symbols("t x y", real=True)
 
@@ -98,6 +100,12 @@ class TestIsZero:
         res = is_zero(x * (sp.sin(1) ** 2 + sp.cos(1) ** 2 - 1))
         assert res.status is ZeroStatus.UNDECIDED and res.samples > 0
 
+    def test_high_trig_powers(self):
+        """cos(8x - 4t) against its expansion, squared: powers up to 16 of sin and cos."""
+        c = sp.cos(4 * (2 * x - t)) - sp.expand_trig(sp.cos(4 * (2 * x - t)))
+        p = x * t - sp.sin(2 * t) + sp.exp(x)
+        assert is_zero(sp.expand(p * c + c**2)).status is ZeroStatus.ZERO
+
     def test_small_but_nonzero(self):
         res = is_zero(x * sp.Rational(1, 10**15) + x**2 * 0)
         assert res.status is ZeroStatus.NONZERO  # symbolic route sees the term
@@ -176,8 +184,8 @@ def poly_trig_exprs(draw):
     return sp.Add(*(sp.Integer(c) * b for b, c in terms))
 
 
-# ln arguments may carry a content and a constant term; exp and trig arguments
-# may not, as exp(x + 1) = e * exp(x) holds the transcendental constant e
+# ln arguments may carry a content and a constant term, and so may exp and trig
+# arguments (see offset_products)
 ln_args = st.sampled_from([x, t, x + 1, 2 * x, x * t + 2, t**2 + 1, 3 - x])
 angles = st.sampled_from([x, t, x * t, 3 * x, x**2])
 
@@ -200,12 +208,48 @@ def identities(draw):
     return f(n * a) - sp.expand_trig(f(n * a))
 
 
+rationals = st.fractions(min_value=-1, max_value=1, max_denominator=3).map(sp.Rational)
+
+
+@st.composite
+def offset_polynomials(draw):
+    """A polynomial over QQ in x and t, with a constant offset, that is no number."""
+    lead = draw(st.sampled_from([x, t, x * t, x**2]))
+    rest = [m for m in (sp.Integer(1), x, t) if m != lead]
+    return draw(rationals.filter(bool)) * lead + sp.Add(*(draw(rationals) * m for m in rest))
+
+
+@st.composite
+def offset_products(draw):
+    """A polynomial times a product of sin, cos and exp of offset polynomials, powers up to 6."""
+    factors = draw(st.lists(st.tuples(st.sampled_from([sp.sin, sp.cos, sp.exp]),
+                                      offset_polynomials(), st.integers(0, 6)),
+                            min_size=1, max_size=3))
+    return draw(poly_trig_exprs()) * sp.Mul(*(f(p) ** k for f, p, k in factors))
+
+
 class TestProperties:
     @given(identities(), poly_trig_exprs(), poly_trig_exprs())
     @settings(max_examples=60, deadline=None)
     def test_identities_are_zero(self, identity, p, q):
         assert is_zero(q * identity).status is ZeroStatus.ZERO
         assert is_zero(sp.expand(p * identity) + q).status is is_zero(q).status
+
+    @given(identities())
+    @settings(max_examples=15, deadline=None)
+    def test_identity_as_potential_leaves_the_free_particle(self, identity):
+        """An identity is 0, so as V0 it leaves free_particle's solve output as it is."""
+        golden = json.loads((Path(__file__).parent / "golden" / "solve_free_particle.json")
+                            .read_text())["report"]["solution_basis"]
+        ctx = Context(("x",))
+        assert (ctx.t, ctx.xs[0]) == (t, x)
+        basis = solve(flat_lagrangian(ctx, identity, 0),
+                      AnsatzSpec((sp.Integer(1), t, t**2), spatial_degree=1))
+        assert basis.nullspace_dim == golden["nullspace_dim"] == 10
+        assert [{"eta": [[print_expression(e) for e in o.eta] for o in g.orders],
+                 "f": [print_expression(f) for f in g.boundary], "name": g.name,
+                 "xi": [print_expression(o.xi) for o in g.orders]}
+                for g in basis.generators] == golden["generators"]
 
     @given(poly_trig_exprs(), poly_trig_exprs())
     @settings(max_examples=40, deadline=None)
@@ -227,6 +271,19 @@ class TestProperties:
         # the normal form denotes the same function
         diff = e - normalize(e).to_expression()
         assert is_zero(diff).status is ZeroStatus.ZERO
+
+    @given(offset_products())
+    @settings(max_examples=40, deadline=None)
+    def test_product_to_sum_evaluates_to_the_product(self, e):
+        """The ring's product-to-sum, checked in floats: the normal form is e at seeded points,
+        to 1e-9 of the larger of 1 and its terms' magnitude."""
+        form = normalize(e).to_expression()
+        value = sp.lambdify((x, t), e, modules=["math"])
+        terms = [sp.lambdify((x, t), term, modules=["math"]) for term in sp.Add.make_args(form)]
+        for point in sample_points([x, t], DEFAULT_SEED)[:8]:
+            parts = [term(*point) for term in terms]
+            scale = max(1.0, sum(abs(v) for v in parts))
+            assert abs(sum(parts) - value(*point)) <= 1e-9 * scale, (point, form)
 
     @given(poly_trig_exprs())
     @settings(max_examples=25, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import SDM
+from sympy.simplify.fu import TR8
 
 import noetherkit.solver
 
@@ -14,7 +15,6 @@ from noetherkit import (
 )
 from noetherkit.cli import main
 from noetherkit.conditions import IncompatibleError, candidate_residuals, recover_boundary_terms
-from noetherkit.normal import normalize
 from noetherkit.solver import (
     MAX_UNKNOWNS,
     SolverError,
@@ -302,6 +302,21 @@ def from_table(ansatz, vec, name="T"):
     )
 
 
+def reference_form(e):
+    """e's rational coefficients over its other factors, after sympy's product-to-sum
+    (TR8) and expand to a fixed point: a canonical form apart from the ring's."""
+    e = sp.expand(e)
+    for _ in range(8):
+        e, before = sp.expand(TR8(e)), e
+        if e == before:
+            break
+    form = {}
+    for term in sp.Add.make_args(e):
+        c, key = term.as_coeff_Mul()
+        form[key] = form.get(key, 0) + c
+    return {k: c for k, c in form.items() if c != 0}
+
+
 def reference_matrix(ansatz):
     """Rows assembled with one numer.diff(u) per unknown and equation."""
     unknowns = ansatz.unknowns
@@ -312,14 +327,10 @@ def reference_matrix(ansatz):
         for col, u in enumerate(unknowns):
             coeff = numer.diff(u)
             if coeff != 0:
-                forms[col] = normalize(coeff)
-        keys = sorted({k for form in forms.values() for k, _ in form.terms},
-                      key=sp.default_sort_key)
-        rows.extend(
-            [dict(forms[col].terms).get(k, 0) if col in forms else 0
-             for col in range(len(unknowns))]
-            for k in keys
-        )
+                forms[col] = reference_form(coeff)
+        keys = sorted({k for form in forms.values() for k in form}, key=sp.default_sort_key)
+        rows.extend([forms.get(col, {}).get(k, 0) for col in range(len(unknowns))]
+                    for k in keys)
     return sp.Matrix(rows)
 
 
