@@ -307,15 +307,19 @@ class _Ring:
 def normalize(e: sp.Expr) -> NormalForm:
     """Canonical form of ``e``, read off ``_Ring``: each term is a monomial times
     exp(E) cos(phi) or exp(E) sin(phi), as ``_Ring.form`` keys it, with its rational
-    coefficient.  Denominators are cleared, and their product divides every term.
-    Raises UnsupportedEquationError outside the ring's class."""
+    coefficient.  Denominators are cleared of the factors the numerator shares, and their
+    product divides every term.  Raises UnsupportedEquationError outside the ring's class."""
     e = sp.sympify(e)
     R = _Ring([e])
     lifted = R.lift(e)
+    numerator, top = R.cleared(lifted), list(lifted.degrees()[R.atom_end:])
+    for i, p in enumerate(R.inv):
+        while top[i] > 0 and not numerator.rem(R.lift(p)):
+            numerator, top[i] = numerator.exquo(R.lift(p)), top[i] - 1
     exprs = (sp.S.One, *R.gen, *(1 / p for p in R.inv))  # U's image is unused
-    denominator = sp.Mul(*(p**-k for p, k in zip(R.inv, lifted.degrees()[R.atom_end:])))
+    denominator = sp.Mul(*(p**-k for p, k in zip(R.inv, top)))
     collected = collections.defaultdict(lambda: QQ.zero)
-    for m, c in R.cleared(lifted).iterterms():
+    for m, c in numerator.iterterms():
         monomial = sp.Mul(denominator, *(g**k for g, k in zip(R.gen, m[1:R.key_end])))
         for (E, is_cos, phi), v in R.form(m[R.key_end:R.atom_end]):
             trig = (sp.cos if is_cos else sp.sin)(phi.as_expr(*exprs))

@@ -23,9 +23,9 @@ import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import SDM
 
-from .conditions import residuals, verify
+from .conditions import residuals
 from .lagrangian import ApproximateGenerator, GeneratorOrder, PerturbedLagrangian
-from .normal import DEFAULT_SEED, UnsupportedEquationError, _Ring
+from .normal import UnsupportedEquationError, _Ring
 
 MAX_UNKNOWNS = 10_000
 
@@ -103,6 +103,7 @@ class Ansatz:
 class LinearSystem:
     ansatz: Ansatz
     matrix: SDM
+    ring: _Ring  # where reduce built the rows, and nullspace checks the solutions
 
 
 @dataclass(frozen=True)
@@ -211,6 +212,20 @@ def _generator(ansatz: Ansatz, name: str, vec: Sequence[sp.Expr]) -> Approximate
     )
 
 
+def _equations(R: _Ring, ansatz: Ansatz, weights: Sequence) -> tuple:
+    """The determining equations, in R, of the generator sum_c weights[c] fn_c."""
+    L, ctx = ansatz.L, ansatz.L.ctx
+    comps = collections.defaultdict(lambda: R.ring.zero)
+    for w, column in zip(weights, ansatz.columns):
+        comps[column.slot] += w * R.lift(column.fn)
+    orders = range(L.order + 1)
+    parts = [([[R.lift(e) for e in row] for row in m], R.lift(V)) for m, V in L.parts]
+    return residuals(ctx, parts,
+                     [comps["xi", A, 0] for A in orders],
+                     [[comps["eta", A, i] for i in range(ctx.dimension)] for A in orders],
+                     [comps["f", A, 0] for A in orders], R.d)
+
+
 def reduce(ansatz: Ansatz) -> LinearSystem:
     """Collect each equation over independent atoms, in ``_Ring``.
 
@@ -220,23 +235,15 @@ def reduce(ansatz: Ansatz) -> LinearSystem:
     L, ctx, n = ansatz.L, ansatz.L.ctx, len(ansatz.unknowns)
     R = _Ring([e for m, V in L.parts for e in (*sum(m, []), V)]
               + [column.fn for column in ansatz.columns], (ctx.t, *ctx.xs))
-    comps = collections.defaultdict(lambda: R.ring.zero)
-    for c, column in enumerate(ansatz.columns):
-        comps[column.slot] += R.U ** (c + 1) * R.lift(column.fn)
-    orders = range(L.order + 1)
-    parts = [([[R.lift(e) for e in row] for row in m], R.lift(V)) for m, V in L.parts]
-    eqs = residuals(ctx, parts,
-                    [comps["xi", A, 0] for A in orders],
-                    [[comps["eta", A, i] for i in range(ctx.dimension)] for A in orders],
-                    [comps["f", A, 0] for A in orders], R.d)
-    rows = [row for eq in eqs for row in R.rows(eq.lhs, n)]
-    return LinearSystem(ansatz, SDM(dict(enumerate(rows)), (len(rows), n), QQ))
+    rows = [row for eq in _equations(R, ansatz, [R.U ** (c + 1) for c in range(n)])
+            for row in R.rows(eq.lhs, n)]
+    return LinearSystem(ansatz, SDM(dict(enumerate(rows)), (len(rows), n), QQ), R)
 
 
-def nullspace(system: LinearSystem, tol: float = 1e-10,
-              seed: int = DEFAULT_SEED) -> SolutionBasis:
-    """Exact nullspace, canonically ordered."""
-    ansatz = system.ansatz
+def nullspace(system: LinearSystem) -> SolutionBasis:
+    """Exact nullspace, canonically ordered, checked in ``reduce``'s ring: the equations
+    of sum_i U^(i+1) S_i have a nonzero entry in column i exactly when S_i fails them."""
+    ansatz, R = system.ansatz, system.ring
     null = rational_nullspace(system.matrix)
     if not null and not ansatz.constants:
         return SolutionBasis((), 0, "no solutions", (), ansatz)
@@ -249,56 +256,65 @@ def nullspace(system: LinearSystem, tol: float = 1e-10,
     paired = sorted(((_generator(ansatz, "", vec), vec) for vec in null), key=sort_key)
     generators = tuple(replace(g, name=f"S{i}") for i, (g, _) in enumerate(paired))
     vectors = tuple(v for _, v in paired)
-    for g in generators:
-        if not verify(ansatz.L, g, tol, seed).passed:
-            raise SolverError(f"internal: solver produced {g.name} failing verification")
+    weights = [sum((R.U ** (i + 1) * v[c] for i, v in enumerate(vectors) if v[c]), R.ring.zero)
+               for c in range(len(ansatz.columns))]
+    failing = [c for eq in _equations(R, ansatz, weights) for row in R.rows(eq.lhs, len(vectors))
+               for c in row]
+    if failing:
+        raise SolverError(f"internal: solver produced S{min(failing)} failing verification")
     note = f"removed {ansatz.constants} pure-gauge direction(s) (constant boundary terms)"
     return SolutionBasis(generators, len(null), note, vectors, ansatz)
 
 
-def solve(L: PerturbedLagrangian, spec: AnsatzSpec, tol: float = 1e-10,
-          seed: int = DEFAULT_SEED) -> SolutionBasis:
-    """Full pipeline: instantiate, reduce, nullspace, verify."""
-    ansatz = instantiate(L, spec)
-    return nullspace(reduce(ansatz), tol, seed)
+def solve(L: PerturbedLagrangian, spec: AnsatzSpec) -> SolutionBasis:
+    """Full pipeline: instantiate, reduce, nullspace and its check."""
+    return nullspace(reduce(instantiate(L, spec)))
 
 
 # -- span membership ------------------------------------------------------
 
 
-def contains(basis: SolutionBasis, X: ApproximateGenerator) -> bool:
-    """Exact span-membership test for a candidate generator, in ``_Ring``.
+def contains(basis: SolutionBasis,
+             candidates: Sequence[ApproximateGenerator]) -> tuple[bool, ...]:
+    """Exact span membership of each candidate generator, in ``_Ring``.
 
-    Unknown j < k weighs solution S_j and unknown k the candidate, k the
-    number of solutions: each compared slot gives the equation sum_j a_j S_j
-    + a_k X = 0, and X is in the span exactly when a_k is not a pivot of
-    their rows.  A slot outside the ring's class puts X outside the span.
-    Constant shifts of the boundary terms are gauge: the part of a given f
-    that depends on none of t, x and xdot is dropped.
-
-    ``X.boundary is None`` means f is free: only xi and eta are compared.
-    That decides the same question, because a solution with xi = eta = 0 has
-    f_x = f_t = 0, so its f is a constant, which is gauge; restricted to xi
-    and eta the solutions stay independent.
+    Unknown j < k weighs solution S_j and unknown k + m candidate X_m, k the
+    number of solutions; each compared slot gives one equation.  X_m is in the
+    span exactly when column k + m of the echelon form of their rows is nonzero
+    only in rows whose pivot is a solution's.  The candidates that give f share
+    one echelon form, and those that leave it free (``X.boundary is None``)
+    another, where only xi and eta are compared.  That decides the same
+    question: a solution with xi = eta = 0 has f_x = f_t = 0, so its f is a
+    constant, which is gauge, and restricted to xi and eta the solutions stay
+    independent.  A constant shift of a given f is gauge too: its part free of
+    t, x and xdot is dropped.  A slot outside the ring's class puts X outside
+    the span; a group that does not lift is decided one candidate at a time.
     """
-    L = basis.ansatz.L
-    X.check_shape(L)
-    ctx, k = L.ctx, len(basis.generators)
+    L, k = basis.ansatz.L, len(basis.generators)
 
     def slots(g: ApproximateGenerator, boundary) -> list[sp.Expr]:
         """xi and eta of every order, then the boundary terms unless f is free."""
         return [e for o in g.orders for e in (o.xi, *o.eta)] + list(boundary or ())
 
-    free_f = X.boundary is None
-    given = None if free_f else [
-        sp.expand(f).as_independent(ctx.t, *ctx.xs, *ctx.vs, as_Add=True)[1]
-        for f in X.boundary]
-    # one row per generator, the candidate last; one column per compared slot
-    table = [slots(S, None if free_f else S.boundary) for S in basis.generators]
-    table.append(slots(X, given))
-    try:
-        R = _Ring([e for row in table for e in row])
-        eqs = [R.span(slot) for slot in zip(*table)]
-    except UnsupportedEquationError:
-        return False
-    return k not in R.pivots(eqs, k + 1)
+    groups: dict[bool, list[int]] = {}
+    for j, X in enumerate(candidates):
+        X.check_shape(L)
+        groups.setdefault(X.boundary is None, []).append(j)
+    answers = {}
+    for free_f, group in groups.items():
+        # one row per generator, then the candidates; one column per compared slot
+        table = [slots(S, None if free_f else S.boundary) for S in basis.generators]
+        table += [slots(candidates[j], None if free_f else [
+            sp.expand(f).as_independent(L.ctx.t, *L.ctx.xs, *L.ctx.vs, as_Add=True)[1]
+            for f in candidates[j].boundary]) for j in group]
+        try:
+            R = _Ring([e for row in table for e in row])
+            rows = [row for slot in zip(*table) for row in R.rows(R.span(slot), len(table))]
+        except UnsupportedEquationError:
+            answers.update((j, len(group) > 1 and contains(basis, [candidates[j]])[0])
+                           for j in group)
+            continue
+        echelon, pivots = SDM(dict(enumerate(rows)), (len(rows), len(table)), QQ).rref()
+        outside = {c for r, p in enumerate(pivots) if p >= k for c in echelon.get(r, ())}
+        answers.update((j, k + m not in outside) for m, j in enumerate(group))
+    return tuple(answers[j] for j in range(len(candidates)))

@@ -44,6 +44,15 @@ class TestNormalize:
     def test_negative_powers_are_atoms(self):
         assert not normalize(1 / x).is_zero
 
+    @pytest.mark.parametrize("e, reduced", [
+        ((x**2 - 1) / ((x - 1) * (x + 1) ** 2), 1 / (x + 1)),
+        ((x * sp.exp(t) + sp.exp(t)) / (x + 1) ** 3, sp.exp(t) / (x + 1) ** 2),
+    ])
+    def test_common_factors_cancel(self, e, reduced):
+        """Factors the numerator shares with the denominator cancel, so the form is canonical."""
+        assert normalize(e - reduced).is_zero
+        assert normalize(e) == normalize(reduced)
+
     def test_log_atoms(self):
         form = normalize(sp.log(t) * x - x * sp.log(t))
         assert form.is_zero

@@ -165,8 +165,7 @@ class TestFreeParticle:
         t = sp.Symbol("t", real=True)
         small = solve(free_particle, AnsatzSpec((sp.Integer(1), t)))
         large = solve(free_particle, AnsatzSpec((sp.Integer(1), t, t**2)))
-        for g in small.generators:
-            assert contains(large, g)
+        assert contains(large, small.generators) == (True,) * len(small.generators)
 
 
 @pytest.fixture(scope="module")
@@ -204,20 +203,19 @@ class TestInverseSquareNumeric:
 
     def test_known_symmetries_in_span(self, setup):
         L, basis = setup
-        for Z in self.known(L.ctx):
-            assert contains(basis, Z), Z.name
+        assert contains(basis, self.known(L.ctx)) == (True,) * 6
 
     def test_boundary_constant_is_gauge(self, setup):
         L, basis = setup
         t, x = L.ctx.t, L.ctx.xs[0]
         shifted = gen("Z3c", (0, t**2), (0, t * x), (sp.Integer(3), x**2 / 2))
-        assert contains(basis, shifted)
+        assert contains(basis, [shifted]) == (True,)
 
     def test_bogus_rejected(self, setup):
         L, basis = setup
         t, x = L.ctx.t, L.ctx.xs[0]
-        assert not contains(basis, gen("bogus", (0, 0), (0, t), (0, 0)))
-        assert not contains(basis, gen("outside", (0, 0), (0, sp.sin(t) * x), (0, 0)))
+        assert contains(basis, [gen("bogus", (0, 0), (0, t), (0, 0)),
+                                gen("outside", (0, 0), (0, sp.sin(t) * x), (0, 0))]) == (False,) * 2
 
     def test_free_boundary_agrees_with_given_boundary(self, setup):
         L, basis = setup
@@ -227,17 +225,14 @@ class TestInverseSquareNumeric:
             gen("outside", (0, 0), (0, sp.sin(t) * x), (0, 0)),
             gen("flipped", (0, -(t**2)), (0, t * x), (0, x**2 / 2)),
         ]
-        for Z in candidates:
-            assert contains(basis, without_f(Z)) == contains(basis, Z), Z.name
-        for Z in self.known(L.ctx):
-            assert contains(basis, without_f(Z)), Z.name
+        assert contains(basis, [without_f(Z) for Z in candidates]) == contains(basis, candidates)
+        assert contains(basis, [without_f(Z) for Z in self.known(L.ctx)]) == (True,) * 6
 
     def test_wrong_boundary_rejected_only_when_given(self, setup):
         L, basis = setup
         t, x = L.ctx.t, L.ctx.xs[0]
         wrong_f = gen("Z3f", (0, t**2), (0, t * x), (0, x**2))
-        assert not contains(basis, wrong_f)
-        assert contains(basis, without_f(wrong_f))
+        assert contains(basis, [wrong_f, without_f(wrong_f)]) == (False, True)
 
 
 class TestEmptySpan:
@@ -249,7 +244,39 @@ class TestEmptySpan:
         basis = solve(L, AnsatzSpec((sp.Integer(1),), spatial_degree=0))
         assert basis.nullspace_dim == 0
         assert basis.generators == ()
-        assert not contains(basis, gen("Zt", (1, 0), (0, 0), (0, 0)))
+        assert contains(basis, [gen("Zt", (1, 0), (0, 0), (0, 0))]) == (False,)
+
+
+def corrupted(vector, entry):
+    """``rational_nullspace`` with the entry-th zero entry of one vector set to 1."""
+    original = noetherkit.solver.rational_nullspace
+
+    def patched(matrix):
+        null = original(matrix)
+        v = list(null[vector])
+        v[[c for c, a in enumerate(v) if not a][entry]] = QQ.one
+        null[vector] = tuple(v)
+        return null
+
+    return patched
+
+
+class TestSelfCheck:
+    """nullspace checks its solutions in reduce's ring; verify's expression route
+    cross-checks which generator the ring names."""
+
+    @pytest.mark.parametrize("vector, entry", [(0, 0), (2, 5), (4, 30), (-1, 60)])
+    def test_names_the_first_generator_verify_rejects(self, monkeypatch, vector, entry):
+        p = load_problem(fixture_path("case5.json"))
+        system = reduce(instantiate(p.L, p.ansatz))
+        monkeypatch.setattr(noetherkit.solver, "rational_nullspace", corrupted(vector, entry))
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr(noetherkit.solver, "_equations", lambda *args: ())
+            generators = nullspace(system).generators
+        failing = [g.name for g in generators if not verify(p.L, g).passed]
+        assert failing
+        with pytest.raises(SolverError, match=f"internal: solver produced {failing[0]} failing"):
+            solve(p.L, p.ansatz)
 
 
 @st.composite
@@ -428,30 +455,84 @@ def free_particle_basis():
     return solve(flat_lagrangian(ctx, 0, 0), AnsatzSpec((sp.Integer(1), t, t**2)))
 
 
+def combination(basis, coeffs, name):
+    """sum_i coeffs[i] S_i, assembled from the coefficient table."""
+    return from_table(basis.ansatz, [sum(c * v[k] for c, v in zip(coeffs, basis.vectors))
+                                     for k in range(len(basis.ansatz.unknowns))], name)
+
+
+@pytest.fixture(scope="module")
+def membership_pools(free_particle_basis, setup):
+    """Per basis: candidates in and out of the span (bogus3 depends on bogus), each
+    with an f-free copy, the unsupported irr last, and each one's answer alone."""
+    pools = {}
+    for name, basis in (("free_particle", free_particle_basis), ("inverse_square", setup[1])):
+        t, x = basis.ansatz.L.ctx.t, basis.ansatz.L.ctx.xs[0]
+        k = len(basis.generators)
+        pool = [combination(basis, [sp.Rational((-1) ** i * (i + 1), 3) for i in range(k)], "c1"),
+                combination(basis, [sp.Integer(i % 2) for i in range(k)], "c2"),
+                gen("bogus", (0, 0), (0, t), (0, 0)),
+                gen("bogus3", (0, 0), (0, -3 * t), (0, 0)),
+                gen("outside", (0, 0), (0, sp.sin(t) * x), (0, 0)),
+                gen("cubic", (t**3, 0), (0, 0), (0, 0)),
+                gen("x2", (0, 0), (x**2, 0), (0, 0)),
+                gen("irr", (0, 0), (sp.sqrt(2) * t, 0), (0, 0))]
+        pool = [*pool[:-1], *map(without_f, pool), pool[-1]]
+        pools[name] = basis, pool, tuple(contains(basis, [X])[0] for X in pool)
+    return pools
+
+
 class TestMembership:
+    @pytest.mark.parametrize("which", ["free_particle", "inverse_square"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_batch_agrees_with_one_at_a_time(self, membership_pools, which, data):
+        """Any permutation of any subset, with or without the unsupported irr mixed in,
+        gets the one-element answers: one candidate cannot change another's answer."""
+        basis, pool, alone = membership_pools[which]
+        assert alone[:4] == (True, True, False, False) and alone[7:9] == (True, True)
+        assert alone[-1] is False
+        order = data.draw(st.permutations(range(len(pool) - 1)))
+        chosen = order[:data.draw(st.integers(0, len(order)))]
+        if data.draw(st.booleans()):
+            chosen.insert(data.draw(st.integers(0, len(chosen))), len(pool) - 1)
+        assert contains(basis, [pool[i] for i in chosen]) == tuple(alone[i] for i in chosen)
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    def test_rings_per_solve_and_membership(self, monkeypatch, copies):
+        """The time basis check, reduce (whose ring also checks the solutions) and one
+        ring per f-group: no ring per candidate or per zero test."""
+        p = load_problem(fixture_path("case5.json"))
+        rings, init = [], noetherkit.normal._Ring.__init__
+
+        def counting(self, *args, **kwargs):
+            rings.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(noetherkit.normal._Ring, "__init__", counting)
+        basis = solve(p.L, p.ansatz)
+        candidates = [*p.candidates * copies, *map(without_f, p.candidates)]
+        assert contains(basis, candidates) == (True,) * len(candidates)
+        assert len(rings) <= 4
+
     def test_irrational_coefficient(self, free_particle_basis):
         t = free_particle_basis.ansatz.L.ctx.t
-        assert not contains(free_particle_basis, gen("irr", (0, 0), (sp.sqrt(2) * t, 0), (0, 0)))
+        irr = gen("irr", (0, 0), (sp.sqrt(2) * t, 0), (0, 0))
+        assert contains(free_particle_basis, [irr]) == (False,)
 
     def test_outside_the_ansatz(self, free_particle_basis):
         ctx = free_particle_basis.ansatz.L.ctx
         t, x = ctx.t, ctx.xs[0]
-        assert not contains(free_particle_basis, gen("cubic", (t**3, 0), (0, 0), (0, 0)))
-        assert not contains(free_particle_basis, gen("x2", (0, 0), (x**2, 0), (0, 0)))
+        assert contains(free_particle_basis, [gen("cubic", (t**3, 0), (0, 0), (0, 0)),
+                                              gen("x2", (0, 0), (x**2, 0), (0, 0))]) == (False,) * 2
 
     @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7),
                     min_size=10, max_size=10))
     @settings(max_examples=25, deadline=None)
     def test_rational_combinations_in_span(self, free_particle_basis, coeffs):
         basis = free_particle_basis
-        combo = [
-            sum(sp.Rational(c.numerator, c.denominator) * vec[k]
-                for c, vec in zip(coeffs, basis.vectors))
-            for k in range(len(basis.ansatz.unknowns))
-        ]
-        X = from_table(basis.ansatz, combo)
-        assert contains(basis, X)
-        assert contains(basis, without_f(X))
+        X = combination(basis, [sp.Rational(c.numerator, c.denominator) for c in coeffs], "T")
+        assert contains(basis, [X, without_f(X)]) == (True, True)
 
     def test_open_differential_without_f_out_of_span(self, oscillator):
         t, x = oscillator.ctx.t, oscillator.ctx.xs[0]
@@ -460,10 +541,10 @@ class TestMembership:
             "open", (GeneratorOrder(0, (t * x**2,)), GeneratorOrder(0, (0,))))
         with pytest.raises(IncompatibleError):
             recover_boundary_terms(oscillator, open_eta)
-        assert not contains(basis, open_eta)
+        assert contains(basis, [open_eta]) == (False,)
         closed = ApproximateGenerator(
             "Zt", (GeneratorOrder(1, (0,)), GeneratorOrder(0, (0,))))
-        assert contains(basis, closed)
+        assert contains(basis, [closed]) == (True,)
 
     def test_no_derivative_taken(self, monkeypatch):
         """Membership never differentiates: on a basis with ln t atoms its ring
@@ -478,7 +559,7 @@ class TestMembership:
             return diff(e, *variables, **kwargs)
 
         monkeypatch.setattr(sp, "diff", spy)
-        assert all(contains(basis, X) for X in p.candidates)
+        assert contains(basis, p.candidates) == (True,) * len(p.candidates)
         assert calls == []
 
     @pytest.mark.parametrize("boundary", [{"f": ["0", "0"]}, {}], ids=["given-f", "free-f"])
