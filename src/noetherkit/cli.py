@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -70,21 +69,21 @@ class CheckFailed(Exception):
     """A selected candidate is not a symmetry, so it has no conservation law."""
 
 
-def _with_boundary(problem: Problem, X, tol, seed):
+def _with_boundary(problem: Problem, X, seed):
     if X.boundary is not None:
         return X
-    return X.with_boundary(recover_boundary_terms(problem.L, X, tol, seed))
+    return X.with_boundary(recover_boundary_terms(problem.L, X, seed=seed))
 
 
 def _conservation_law(problem: Problem, X, args):
     """The components of the conservation law of X; CheckFailed if there is none."""
     try:
-        X = _with_boundary(problem, X, args.tolerance, args.seed)
+        X = _with_boundary(problem, X, args.seed)
     except IncompatibleError as exc:
         raise CheckFailed(f"{X.name} has no boundary term: {exc}") from exc
-    if not verify(problem.L, X, args.tolerance, args.seed).passed:
+    if not verify(problem.L, X, seed=args.seed).passed:
         raise CheckFailed(f"{X.name} fails verification")
-    return total_integral(problem.L, X, args.tolerance, args.seed, assume_verified=True)
+    return total_integral(problem.L, X, seed=args.seed, assume_verified=True)
 
 
 def _zero_status_entry(result):
@@ -122,13 +121,13 @@ def cmd_verify(problem: Problem, args) -> tuple[dict, int]:
             print(f"{X.name}: quarantined ({X.note})")
             continue
         try:
-            X = _with_boundary(problem, X, args.tolerance, args.seed)
+            X = _with_boundary(problem, X, args.seed)
         except IncompatibleError as exc:
             failed = True
             verdicts.append({"name": X.name, "status": "fail", "reason": str(exc)})
             print(f"{X.name}: FAIL ({exc})")
             continue
-        report = verify(problem.L, X, args.tolerance, args.seed)
+        report = verify(problem.L, X, seed=args.seed)
         entry = {
             "name": X.name,
             "status": "pass" if report.passed else "fail",
@@ -227,11 +226,13 @@ def cmd_simulate(problem: Problem, args) -> tuple[dict, int]:
     by_integral = {name: [] for name in integrals}
     for k, eps in enumerate(epsilons):
         traj = integrate(problem.L, sim.initial, sim.t_end, sim.dt, eps, sim.t_start)
-        columns = {}  # with a CSV, each integral is evaluated here once for both uses
+        columns = {}  # each law's values along traj, kept only for a CSV
         for name, comps in integrals.items():
+            values = evaluate_integral(problem.L, comps, traj)
+            rec = drift(problem.L, values, traj, name)
             if args.csv:
-                comps = columns[name] = evaluate_integral(problem.L, comps, traj)
-            rec = drift(problem.L, comps, traj, name)
+                columns[name] = values
+            del values  # not held over the next evaluation, which would raise peak memory
             by_integral[name].append(rec)
             records.append({
                 "integral": name,
@@ -245,7 +246,7 @@ def cmd_simulate(problem: Problem, args) -> tuple[dict, int]:
             path = Path(args.csv)
             if len(epsilons) > 1:
                 path = path.with_name(f"{path.stem}_{k}{path.suffix}")
-            write_csv(path, problem.L, traj, columns or None)
+            write_csv(path, problem.L, traj, columns)
             print(f"wrote {path}")
     scalings = []
     if len(epsilons) >= 2:
@@ -292,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("problem", help="problem JSON file")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--tolerance", type=float, default=1e-10)
     parser.add_argument("--candidate", help="restrict to one named candidate")
     parser.add_argument("--degree", type=int, default=1, help="homothetic ansatz degree")
     parser.add_argument("--epsilon", type=float, action="append",
@@ -305,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-            raise ProblemError("--tolerance", f"must be finite and positive, got {args.tolerance}")
         problem = load_problem(args.problem)
         report, code = COMMANDS[args.command](problem, args)
     except ProblemError as exc:

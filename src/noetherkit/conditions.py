@@ -210,7 +210,7 @@ class VerificationReport:
 def verify(
     L: PerturbedLagrangian,
     X: ApproximateGenerator,
-    tol: float = 1e-10,
+    *,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Check a candidate against every determining equation.
@@ -219,7 +219,7 @@ def verify(
     zeroth-order part alone satisfies the full system), otherwise
     "approximate of order n".
     """
-    verdicts = [EquationVerdict(eq, is_zero(eq.lhs, tol, seed))
+    verdicts = [EquationVerdict(eq, is_zero(eq.lhs, seed=seed))
                 for eq in candidate_residuals(L, X)]
     higher_trivial = all(
         X.orders[A].is_trivial and X.boundary[A] == 0 for A in range(1, L.order + 1)
@@ -240,7 +240,7 @@ def verify(
 def recover_boundary_terms(
     L: PerturbedLagrangian,
     X: ApproximateGenerator,
-    tol: float = 1e-10,
+    *,
     seed: int = DEFAULT_SEED,
 ) -> tuple[sp.Expr, ...]:
     """Boundary terms f_A fixed by the gradient and potential conditions.
@@ -253,39 +253,31 @@ def recover_boundary_terms(
     X.check_shape(L)
     ctx = L.ctx
     t, xs = ctx.t, ctx.xs
-    n = ctx.dimension
     # with f = 0 the gradient conditions are f_x and the potential condition is -f_t
     eqs = candidate_residuals(L, X.with_boundary([0] * (L.order + 1)))
+    # closure of the candidate differential: d/db(f_a) = d/da(f_b) for the pairs
+    # (t, x_j), then (x_j, x_k) for k > j, for each j
+    pairs = [p for j, x in enumerate(xs) for p in ((t, x), *((x, y) for y in xs[j + 1:]))]
     out = []
     for gamma in range(L.order + 1):
         f_x = [eq.lhs for eq in eqs if eq.order == gamma and eq.kind == KIND_GRADIENT]
         f_t = -next(eq.lhs for eq in eqs if eq.order == gamma and eq.kind == KIND_POTENTIAL)
-        # closure of the candidate differential
-        for j in range(n):
-            mixed = sp.diff(f_t, xs[j]) - sp.diff(f_x[j], t)
-            if not is_zero(mixed, tol, seed).vanishes_numerically:
-                raise IncompatibleError(
-                    f"order {gamma}: d/d{xs[j]}(f_t) != d/dt(f_{xs[j]})"
-                )
-            for k in range(j + 1, n):
-                mixed = sp.diff(f_x[j], xs[k]) - sp.diff(f_x[k], xs[j])
-                if not is_zero(mixed, tol, seed).vanishes_numerically:
-                    raise IncompatibleError(
-                        f"order {gamma}: d/d{xs[k]}(f_{xs[j]}) != d/d{xs[j]}(f_{xs[k]})"
-                    )
+        grad = dict(zip((t, *xs), (f_t, *f_x)))
+        for a, b in pairs:
+            mixed = sp.diff(grad[a], b) - sp.diff(grad[b], a)
+            if not is_zero(mixed, seed=seed).vanishes_numerically:
+                raise IncompatibleError(f"order {gamma}: d/d{b}(f_{a}) != d/d{a}(f_{b})")
         f = sp.Integer(0)
-        for j in range(n):
-            residual = f_x[j] - sp.diff(f, xs[j])
-            f += sp.integrate(residual, xs[j])
-        residual = f_t - sp.diff(f, t)
-        f += sp.integrate(residual, t)
-        f = sp.expand(sp.cancel(sp.together(f)))
-        f = _strip_constant(f, ctx)
-        out.append(f)
+        for x, f_xj in zip(xs, f_x):
+            f += sp.integrate(f_xj - sp.diff(f, x), x)
+        f += sp.integrate(f_t - sp.diff(f, t), t)
+        out.append(constant_free(sp.expand(sp.cancel(sp.together(f))), ctx))
     return tuple(out)
 
 
-def _strip_constant(f: sp.Expr, ctx: Context) -> sp.Expr:
-    varying = {ctx.t, *ctx.xs}
-    terms = [term for term in sp.Add.make_args(sp.expand(f)) if term.free_symbols & varying]
-    return sp.Add(*terms)
+def constant_free(f: sp.Expr, ctx: Context) -> sp.Expr:
+    """f without its part free of t, x and xdot, which is gauge in a boundary term;
+    exp(t + 1) stays one term, not E*exp(t)."""
+    varying = {ctx.t, *ctx.xs, *ctx.vs}
+    return sp.Add(*(term for term in sp.Add.make_args(sp.expand(f, power_exp=False))
+                    if term.free_symbols & varying))

@@ -54,7 +54,7 @@ def first_integral(
     L: PerturbedLagrangian,
     X: ApproximateGenerator,
     gamma: int,
-    tol: float = 1e-10,
+    *,
     seed: int = DEFAULT_SEED,
     assume_verified: bool = False,
 ) -> FirstIntegral:
@@ -69,7 +69,7 @@ def first_integral(
     if not 0 <= gamma <= L.order:
         raise ValueError(f"gamma {gamma} outside 0..{L.order}")
     if not assume_verified:
-        report = verify(L, X, tol, seed)
+        report = verify(L, X, seed=seed)
         if not report.passed:
             raise ModelError(f"generator {X.name} fails verification")
     n = L.ctx.dimension
@@ -86,14 +86,14 @@ def first_integral(
 def total_integral(
     L: PerturbedLagrangian,
     X: ApproximateGenerator,
-    tol: float = 1e-10,
+    *,
     seed: int = DEFAULT_SEED,
     assume_verified: bool = False,
 ) -> list[FirstIntegral]:
     """All components I_0 .. I_n; their folded sum is the conservation law."""
     out = []
     for gamma in range(L.order + 1):
-        out.append(first_integral(L, X, gamma, tol, seed, assume_verified))
+        out.append(first_integral(L, X, gamma, seed=seed, assume_verified=assume_verified))
         assume_verified = True
     return out
 
@@ -141,14 +141,14 @@ class DriftExpansion:
 def symbolic_drift(
     L: PerturbedLagrangian,
     integrals: Sequence[FirstIntegral] | FirstIntegral,
-    tol: float = 1e-10,
+    *,
     seed: int = DEFAULT_SEED,
 ) -> DriftExpansion:
     """dI/dt along the perturbed flow, expanded in the parameter.
 
     The drift of the folded sum of the given components is truncated at the
     highest order among them (the truncation must vanish for a valid
-    approximate law, and is zero-tested with ``tol`` and ``seed``); the next
+    approximate law, and is zero-tested with ``seed``); the next
     coefficient is returned as the remainder.  Components below that order
     must all be supplied: truncating a single mixed-order component in
     isolation is not an invariant.
@@ -179,4 +179,4 @@ def symbolic_drift(
         elif k == order + 1:
             remainder = coeff
     return DriftExpansion(sp.expand(remainder), order,
-                          bool(is_zero(sp.expand(truncation), tol, seed)))
+                          bool(is_zero(sp.expand(truncation), seed=seed)))

@@ -10,20 +10,17 @@ from typing import Optional, Sequence
 import numpy as np
 import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
-from sympy.printing.pycode import PythonCodePrinter
 
 from .conservation import EPSILON, FirstIntegral, NumericOnly, accelerations
 from .context import Context
 from .lagrangian import PerturbedLagrangian
+from .normal import MATH_PRINTER
 
 
 # RK4 steps allowed per integration (one epsilon); checked before any allocation
 MAX_STEPS = 10**7
 # write_csv converts this many rows at a time to Python floats
 CSV_BLOCK_ROWS = 4096
-# lambdify's printer for modules=["math"]: bare names such as sin, resolved in math
-_MATH_PRINTER = PythonCodePrinter({"fully_qualified_modules": False, "inline": True,
-                                   "allow_unknown_functions": True, "user_functions": {}})
 
 
 class IntegrationError(RuntimeError):
@@ -61,12 +58,12 @@ def require_numeric(ctx: Context, exprs: Sequence[sp.Expr], what: str) -> None:
 def _step_function(L: PerturbedLagrangian, epsilon: float):
     """One RK4 step as straight-line scalar code: step(t, dt, *state) -> state.
 
-    Each acceleration is printed once, as ``lambdify(..., modules=["math"])``
-    prints it, and inlined in each of the four stages under the problem's own
-    names (``t``, ``x``, ``xdot``, ...), which the stage binds to its time and
-    state; the step's other names start with more underscores than any
-    problem name.  The arithmetic is the textbook update with stages k, l, p,
-    q (``s + dt / 2 * k``, ``s + dt / 2 * l``, ``s + dt * p``, then
+    Each acceleration is printed once, by ``MATH_PRINTER``, and inlined in each
+    of the four stages under the problem's own names (``t``, ``x``, ``xdot``,
+    ...), which the stage binds to its time and state; the step's other names
+    start with more underscores than any problem name.  The arithmetic is the
+    textbook update with stages k, l, p, q (``s + dt / 2 * k``,
+    ``s + dt / 2 * l``, ``s + dt * p``, then
     ``s + dt / 6 * (k + 2 * l + 2 * p + q)``) operation for operation, so
     trajectories are bit-identical to a loop over lists that calls the
     lambdified accelerations.
@@ -79,7 +76,7 @@ def _step_function(L: PerturbedLagrangian, epsilon: float):
     require_numeric(ctx, solved, "the equations of motion")
     eps = sp.Rational(str(epsilon))
     accel = [a.subs(EPSILON, eps) for a in solved]
-    rhs = [_MATH_PRINTER.doprint(a) for a in accel]
+    rhs = [MATH_PRINTER.doprint(a) for a in accel]
     used = set().union(*(a.free_symbols for a in accel))
     bound = [(i, str(v)) for i, v in enumerate((ctx.t, *ctx.xs, *ctx.vs)) if v in used]
     u = "_" * (1 + max(len(name) - len(name.lstrip("_")) for name in ctx.names()))
@@ -275,17 +272,13 @@ def write_csv(
     path,
     L: PerturbedLagrangian,
     traj: Trajectory,
-    integrals: Optional[dict[str, Sequence[FirstIntegral] | np.ndarray]] = None,
+    integrals: Optional[dict[str, np.ndarray]] = None,
 ) -> None:
-    """Trajectory and integral columns (components or values) with 17 significant digits."""
-    ctx = L.ctx
-    n = ctx.dimension
-    header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)]
-    columns = [traj.times] + [traj.states[:, j] for j in range(2 * n)]
-    if integrals:
-        for name, law in integrals.items():
-            header.append(name)
-            columns.append(law if isinstance(law, np.ndarray) else evaluate_integral(L, law, traj))
+    """Trajectory and integral columns (each law's values along traj) with 17 significant
+    digits."""
+    n, integrals = L.ctx.dimension, integrals or {}
+    header = ["t", *(f"x{i+1}" for i in range(n)), *(f"v{i+1}" for i in range(n)), *integrals]
+    columns = [traj.times, *(traj.states[:, j] for j in range(2 * n)), *integrals.values()]
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -10,14 +11,29 @@ from typing import Optional, Sequence
 import sympy as sp
 from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
-from sympy.polys.matrices.sdm import SDM
 
 from .context import Context
-from .normal import UnsupportedEquationError, _Ring, is_zero
+from .normal import UnsupportedEquationError, _Ring, is_zero, rational_nullspace
+
+# unknowns allowed in an ansatz, of solve or of killing; counted before any monomial is built
+MAX_UNKNOWNS = 10_000
 
 
 class GeometryError(ValueError):
     pass
+
+
+def _spatial_monomials(xs, degree: int, extra=()):
+    """The monomials in xs of total degree <= degree, by degree, then ``extra``."""
+    mons = []
+    for total in range(degree + 1):
+        for powers in itertools.combinations_with_replacement(range(len(xs)), total):
+            mon = sp.Integer(1)
+            for idx in powers:
+                mon *= xs[idx]
+            mons.append(mon)
+    mons.extend(extra)
+    return mons
 
 
 @dataclass(frozen=True)
@@ -214,9 +230,6 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
     ctx = g.ctx
     n = ctx.dimension
     xs = ctx.xs
-    # imported here: the solver imports this module through lagrangian
-    from .solver import MAX_UNKNOWNS, _spatial_monomials, rational_nullspace
-
     # C(n + degree, n) monomials of total degree <= degree, counted before any is built
     count = n * math.comb(n + degree, n) + 1
     if count > MAX_UNKNOWNS:
@@ -243,11 +256,9 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
     lie = lie_matrix(h, comps, xs, R.d)
     scale = sum(lie_scalar(R.lift(p), comps, xs, R.d) * R.lift(r / p)
                 for p, r in omega.items()) - 2 * R.U ** count
-    rows = [row for i in range(n) for j in range(i, n)
-            for row in R.rows(lie[i][j] + scale * h[i][j], count)]
+    matrix = R.matrix([lie[i][j] + scale * h[i][j] for i in range(n) for j in range(i, n)], count)
     results = []
     # the row-reduced basis is canonical, so the output is deterministic
-    matrix = SDM(dict(enumerate(rows)), (len(rows), count), QQ)
     for vec in rational_nullspace(matrix):
         field = SpatialVectorField(
             ctx,

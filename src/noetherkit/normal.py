@@ -29,10 +29,16 @@ import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import SDM
 from sympy.polys.rings import ring
+from sympy.printing.pycode import PythonCodePrinter
 
 DEFAULT_SEED = 20200513
 SAMPLE_COUNT = 64
 SAMPLE_RANGE = (-2.0, 2.0)
+# a sampled value is zero below this fraction of its largest term (or of 1)
+TOLERANCE = 1e-10
+# lambdify's printer for modules=["math"]: bare names such as sin, resolved in math
+MATH_PRINTER = PythonCodePrinter({"fully_qualified_modules": False, "inline": True,
+                                  "allow_unknown_functions": True, "user_functions": {}})
 
 _ATOM_FUNCS = (sp.sin, sp.cos, sp.exp)
 
@@ -102,36 +108,42 @@ def sample_points(symbols, seed: int) -> list[list[float]]:
 
 
 def _eval_at(fn, values):
+    """fn's values at a point, each real and finite; None where evaluation leaves the
+    domain (a complex value inside a math function raises TypeError)."""
     try:
-        v = fn(*values)
-        if isinstance(v, complex):
-            if abs(v.imag) > 1e-9 * (1.0 + abs(v.real)):
-                return None
-            v = v.real
-        # an int past float range raises OverflowError here
-        return v if math.isfinite(v) else None
-    except (ValueError, ZeroDivisionError, OverflowError):
+        out = [v.real if isinstance(v, complex) and abs(v.imag) <= 1e-9 * (1.0 + abs(v.real))
+               else v for v in fn(*values)]
+        # a complex value left raises TypeError here, an int past float range OverflowError
+        return out if all(map(math.isfinite, out)) else None
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
         return None
 
 
 def _sampled_values(e: sp.Expr, seed: int):
     """Evaluate e and its top-level terms at the seeded sample points.
 
-    Points where evaluation leaves the domain (ln of a non-positive value,
-    division by zero) are retried at the componentwise |v| + 1/8 image, which
-    keeps the procedure deterministic.
+    The terms are printed with ``MATH_PRINTER`` into one generated function whose
+    arguments are the symbols renamed _a0, _a1, ..., so that any name prints;
+    zero-padded, the names sort as the originals do, so each term prints in the
+    same order.  Points where evaluation leaves the domain (ln of a non-positive
+    value, division by zero, a complex value) are retried at the componentwise
+    |v| + 1/8 image, which keeps the procedure deterministic.
     """
     symbols = sorted(e.free_symbols, key=lambda s: s.name)
-    terms = sp.Add.make_args(e)
-    fns = [sp.lambdify(symbols, term, modules=["math"]) for term in terms]
-    points = sample_points(symbols, seed)
+    width = len(str(len(symbols)))
+    args = [sp.Symbol(f"_a{i:0{width}}", **s.assumptions0) for i, s in enumerate(symbols)]
+    renamed = dict(zip(symbols, args))
+    terms = "".join(f"{MATH_PRINTER.doprint(term.xreplace(renamed))}, "
+                    for term in sp.Add.make_args(e))
+    namespace = dict(vars(math))
+    exec(f"def values({', '.join(map(str, args))}):\n    return ({terms})", namespace)
     out = []
-    for row in points:
+    for row in sample_points(symbols, seed):
         for candidate in (row, [abs(c) + 0.125 for c in row]):
-            term_vals = [_eval_at(fn, candidate) for fn in fns]
-            if all(v is not None for v in term_vals):
+            term_vals = _eval_at(namespace["values"], candidate)
+            if term_vals is not None:
                 point = dict(zip(symbols, candidate))
-                out.append((point, sum(term_vals), max(abs(v) for v in term_vals) if term_vals else 0.0))
+                out.append((point, sum(term_vals), max(map(abs, term_vals))))
                 break
     return out
 
@@ -297,11 +309,18 @@ class _Ring:
         """sum_i U^(i+1) e_i: unknown i weighs e_i."""
         return sum((self.U ** (i + 1) * self.lift(e) for i, e in enumerate(exprs)), self.ring.zero)
 
-    def pivots(self, eqs, n: int) -> list[int]:
-        """The pivot columns of the rows of ``eqs``, each linear in U^1..U^n: column j is a
-        pivot exactly when unknown j's function is independent of those before it."""
+    def matrix(self, eqs, n: int) -> SDM:
+        """The QQ matrix of the rows of ``eqs``, each linear in U^1..U^n: column j is a
+        pivot of its echelon form exactly when unknown j's function is independent of
+        those before it."""
         rows = [row for eq in eqs for row in self.rows(eq, n)]
-        return SDM(dict(enumerate(rows)), (len(rows), n), QQ).rref()[1]
+        return SDM(dict(enumerate(rows)), (len(rows), n), QQ)
+
+
+def rational_nullspace(matrix: SDM) -> list[tuple]:
+    """The canonical (row-reduced) basis of {v : matrix . v = 0}, as dense QQ tuples."""
+    R, pivots = matrix.nullspace()[0].rref()
+    return [tuple(row) for row in R.to_list()[: len(pivots)]]
 
 
 def normalize(e: sp.Expr) -> NormalForm:
@@ -338,16 +357,14 @@ def exact_zero(e: sp.Expr) -> Optional[bool]:
         return None
 
 
-def is_zero(e: sp.Expr, tol: float = 1e-10, seed: int = DEFAULT_SEED) -> ZeroResult:
+def is_zero(e: sp.Expr, *, seed: int = DEFAULT_SEED) -> ZeroResult:
     """Decide whether ``e`` is identically zero.
 
     Inside the ring's class the verdict is exact (``exact_zero``), and a
     NonZero one carries the sample point where e is largest against its terms
     as witness.  Outside it, seeded sampling: NonZero needs a witness above
-    tol * scale, otherwise Undecided.
+    TOLERANCE * scale, otherwise Undecided.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     e = sp.sympify(e)
     if e == 0:
         return ZeroResult(ZeroStatus.ZERO)
@@ -358,7 +375,7 @@ def is_zero(e: sp.Expr, tol: float = 1e-10, seed: int = DEFAULT_SEED) -> ZeroRes
     count = len(samples)
     best = None
     for point, value, scale in samples:
-        ratio = abs(value) / (tol * max(1.0, scale))
+        ratio = abs(value) / (TOLERANCE * max(1.0, scale))
         if best is None or ratio > best[0]:
             best = (ratio, point, value)
     if best is not None and (best[0] > 1.0 or exact is False):

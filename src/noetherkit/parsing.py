@@ -4,15 +4,16 @@ Grammar::
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
-    factor := base ("^" exponent)?
-    base   := number | ident | "(" expr ")" | func "(" expr ")" | "-" base
+    factor := "-"* base ("^" exponent)?
+    base   := number | ident | "(" expr ")" | func "(" expr ")"
     func   := "sin" | "cos" | "exp" | "ln"
     exponent := integer | "(" ["-"] integer ["/" integer] ")"
 
 Numbers are decimals and are read exactly (no binary-float rounding).  Each
 exponent p or p/q is bounded by |p|, q <= 64, and so is every exponent that
 sympy folds when it builds a power of a power or a product of powers.  A
-number, written or computed, has at most 4300 digits.
+number, written or computed, has at most 4300 digits.  Parentheses nest at most
+64 deep, so parsing never exhausts the interpreter's recursion limit.
 Velocities are written with a "dot" suffix (e.g. ``xdot``); identifiers must
 be declared in the Context.  ``print_expression`` emits source that reparses
 to the same expression.
@@ -34,6 +35,7 @@ FUNCTIONS = {
 }
 
 MAX_EXPONENT = 64
+MAX_DEPTH = 64
 # Python converts at most 4300 digits between int and str
 MAX_DIGITS = 4300
 _NUMBER_BOUND = 10**MAX_DIGITS
@@ -62,7 +64,7 @@ class _Tokens:
     def __init__(self, source: str):
         self.source = source
         self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
+        pos = depth = 0
         while pos < len(source):
             m = _TOKEN_RE.match(source, pos)
             if m is None or m.end() == pos and source[pos:].strip():
@@ -71,6 +73,9 @@ class _Tokens:
             if m.lastgroup is None:
                 break
             self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+            depth += (self.tokens[-1][1] == "(") - (self.tokens[-1][1] == ")")
+            if depth > MAX_DEPTH:
+                raise ParseError(f"parentheses nest deeper than {MAX_DEPTH}", m.start(m.lastgroup))
             pos = m.end()
         self.i = 0
 
@@ -119,15 +124,16 @@ def _term(toks: _Tokens, ctx: Context) -> sp.Expr:
 
 
 def _factor(toks: _Tokens, ctx: Context) -> sp.Expr:
-    # unary minus binds looser than "^": -x^2 reads as -(x^2)
-    if toks.peek()[1] == "-":
+    # unary minus binds looser than "^": -x^2 reads as -(x^2); a run of them is read here
+    signs = 0
+    while toks.peek()[1] == "-":
         toks.next()
-        return -_factor(toks, ctx)
+        signs += 1
     base = _base(toks, ctx)
     if toks.peek()[1] == "^":
         offset = toks.next()[2]
-        return _bounded(base ** _exponent(toks), offset)
-    return base
+        base = _bounded(base ** _exponent(toks), offset)
+    return -base if signs % 2 else base
 
 
 def _bounded(e: sp.Expr, offset: int) -> sp.Expr:
@@ -189,8 +195,6 @@ def _exponent(toks: _Tokens) -> sp.Rational:
 
 def _base(toks: _Tokens, ctx: Context) -> sp.Expr:
     kind, text, offset = toks.next()
-    if text == "-":
-        return -_base(toks, ctx)
     if text == "(":
         inner = _expr(toks, ctx)
         toks.expect(")")

@@ -14,20 +14,16 @@ solutions have no pure-gauge directions to quotient out.
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import sympy as sp
-from sympy.polys.domains import QQ
-from sympy.polys.matrices.sdm import SDM
 
-from .conditions import residuals
+from .conditions import constant_free, residuals
+from .geometry import MAX_UNKNOWNS, _spatial_monomials
 from .lagrangian import ApproximateGenerator, GeneratorOrder, PerturbedLagrangian
-from .normal import UnsupportedEquationError, _Ring
-
-MAX_UNKNOWNS = 10_000
+from .normal import SDM, UnsupportedEquationError, _Ring, rational_nullspace
 
 
 class SolverError(ValueError):
@@ -68,9 +64,10 @@ class AnsatzSpec:
         k = len(self.time_basis)
         R = _Ring(self.time_basis, (t,))
         span = R.span(self.time_basis)
-        if len(R.pivots([span], k)) < k:
+        rank, derivative_rank = (len(R.matrix([e], k).rref()[1]) for e in (span, R.d(span, t)))
+        if rank < k:
             raise SolverError("time basis functions are not independent")
-        if len(R.pivots([R.d(span, t)], k)) < k - sum(b.is_number for b in self.time_basis):
+        if derivative_rank < k - sum(b.is_number for b in self.time_basis):
             raise SolverError(
                 "time basis spans a constant that it does not list; write it with 1 in place "
                 'of one element (e.g. ["1", "cos(t)^2"])'
@@ -117,24 +114,6 @@ class SolutionBasis:
     ansatz: Ansatz
 
 
-def _spatial_monomials(xs, degree: int, extra=()):
-    mons = []
-    for total in range(degree + 1):
-        for powers in itertools.combinations_with_replacement(range(len(xs)), total):
-            mon = sp.Integer(1)
-            for idx in powers:
-                mon *= xs[idx]
-            mons.append(mon)
-    mons.extend(extra)
-    return mons
-
-
-def rational_nullspace(matrix: SDM) -> list[tuple]:
-    """The canonical (row-reduced) basis of {v : matrix . v = 0}, as dense QQ tuples."""
-    R, pivots = matrix.nullspace()[0].rref()
-    return [tuple(row) for row in R.to_list()[: len(pivots)]]
-
-
 # -- the pipeline ---------------------------------------------------------
 
 
@@ -149,7 +128,8 @@ def instantiate(L: PerturbedLagrangian, spec: AnsatzSpec) -> Ansatz:
     for b in spec.time_basis:
         bad = b.free_symbols - {ctx.t} - set(free)
         if bad:
-            raise SolverError(f"time basis element {b} uses undeclared symbols {bad}")
+            raise SolverError(f"time basis element {b} depends on "
+                              f"{', '.join(sorted(map(str, bad)))}; it may depend on t only")
         if b.free_symbols & set(free):
             raise SolverError(
                 f"time basis element {b} uses symbolic parameters; bind them to numbers"
@@ -200,7 +180,8 @@ def _generator(ansatz: Ansatz, name: str, vec: Sequence[sp.Expr]) -> Approximate
             parts.setdefault(column.slot, []).append(c * column.fn)
 
     def part(kind, A, i=0):
-        return sp.expand(sp.Add(*parts.get((kind, A, i), ())))
+        # exp(t + 1) stays one atom of the ring, not E*exp(t)
+        return sp.expand(sp.Add(*parts.get((kind, A, i), ())), power_exp=False)
 
     orders = range(ansatz.L.order + 1)
     dim = ansatz.L.ctx.dimension
@@ -235,9 +216,8 @@ def reduce(ansatz: Ansatz) -> LinearSystem:
     L, ctx, n = ansatz.L, ansatz.L.ctx, len(ansatz.unknowns)
     R = _Ring([e for m, V in L.parts for e in (*sum(m, []), V)]
               + [column.fn for column in ansatz.columns], (ctx.t, *ctx.xs))
-    rows = [row for eq in _equations(R, ansatz, [R.U ** (c + 1) for c in range(n)])
-            for row in R.rows(eq.lhs, n)]
-    return LinearSystem(ansatz, SDM(dict(enumerate(rows)), (len(rows), n), QQ), R)
+    eqs = _equations(R, ansatz, [R.U ** (c + 1) for c in range(n)])
+    return LinearSystem(ansatz, R.matrix([eq.lhs for eq in eqs], n), R)
 
 
 def nullspace(system: LinearSystem) -> SolutionBasis:
@@ -305,16 +285,15 @@ def contains(basis: SolutionBasis,
         # one row per generator, then the candidates; one column per compared slot
         table = [slots(S, None if free_f else S.boundary) for S in basis.generators]
         table += [slots(candidates[j], None if free_f else [
-            sp.expand(f).as_independent(L.ctx.t, *L.ctx.xs, *L.ctx.vs, as_Add=True)[1]
-            for f in candidates[j].boundary]) for j in group]
+            constant_free(f, L.ctx) for f in candidates[j].boundary]) for j in group]
         try:
             R = _Ring([e for row in table for e in row])
-            rows = [row for slot in zip(*table) for row in R.rows(R.span(slot), len(table))]
+            matrix = R.matrix([R.span(slot) for slot in zip(*table)], len(table))
         except UnsupportedEquationError:
             answers.update((j, len(group) > 1 and contains(basis, [candidates[j]])[0])
                            for j in group)
             continue
-        echelon, pivots = SDM(dict(enumerate(rows)), (len(rows), len(table)), QQ).rref()
+        echelon, pivots = matrix.rref()
         outside = {c for r, p in enumerate(pivots) if p >= k for c in echelon.get(r, ())}
         answers.update((j, k + m not in outside) for m, j in enumerate(group))
     return tuple(answers[j] for j in range(len(candidates)))

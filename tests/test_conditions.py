@@ -400,6 +400,23 @@ class TestBoundaryRecovery:
             recover_boundary_terms(oscillator, bad)
         assert "d/dt" in str(err.value)
 
+    # with V = 0 and f = 0, f_t = 0 and f_j = d(eta_j)/dt; the pairs are tried in the
+    # order (t, x), (x, y), (t, y), and the first open one is reported
+    @pytest.mark.parametrize("eta, message", [
+        (("t*y + t^3/3", "0"), "order 0: d/dx(f_t) != d/dt(f_x)"),
+        (("t*y", "0"), "order 0: d/dy(f_x) != d/dx(f_y)"),
+        (("t*y", "t^3/3"), "order 0: d/dy(f_x) != d/dx(f_y)"),
+        (("0", "t^3/3"), "order 0: d/dy(f_t) != d/dt(f_y)"),
+    ], ids=["t-x-before-x-y", "x-y", "x-y-before-t-y", "t-y"])
+    def test_incompatible_pair_reported_first(self, eta, message):
+        from noetherkit import Context, parse
+        ctx = Context(("x", "y"))
+        L = flat_lagrangian(ctx, 0, 0)
+        bad = gen("bad", (0, 0), (tuple(parse(e, ctx) for e in eta), (0, 0)))
+        with pytest.raises(IncompatibleError) as err:
+            recover_boundary_terms(L, bad)
+        assert str(err.value) == message
+
     def test_constants_stripped(self, oscillator):
         # eta = cos(t) gives f = -x*sin(t) with no floating constant
         ctx = oscillator.ctx

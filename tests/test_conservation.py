@@ -186,16 +186,22 @@ class TestSymbolicDrift:
         assert drift.truncation_is_zero
 
     def test_truncation_decided_with_callers_tol_and_seed(self, monkeypatch, henon_heiles):
+        """The seed is the caller's and the tolerance is the fixed normal.TOLERANCE: a
+        tolerance passed in, by keyword or in the seed's old position, is a TypeError."""
         import noetherkit.conservation as conservation
         calls = []
 
-        def recording(e, tol=1e-10, seed=None):
-            calls.append((tol, seed))
-            return is_zero(e, tol, seed)
+        def recording(e, *, seed=None):
+            calls.append(seed)
+            return is_zero(e, seed=seed)
 
         monkeypatch.setattr(conservation, "is_zero", recording)
         Zt = gen("Zt", (1, 0), ((0, 0), (0, 0)), (0, 0))
         comps = total_integral(henon_heiles, Zt, assume_verified=True)
-        drift = symbolic_drift(henon_heiles, comps, tol=1e-7, seed=5)
-        assert calls == [(1e-7, 5)]
+        drift = symbolic_drift(henon_heiles, comps, seed=5)
+        assert calls == [5]
         assert drift.truncation_is_zero is True
+        with pytest.raises(TypeError):
+            symbolic_drift(henon_heiles, comps, tol=1e-7, seed=5)
+        with pytest.raises(TypeError):
+            symbolic_drift(henon_heiles, comps, 1e-7, 5)

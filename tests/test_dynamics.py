@@ -377,7 +377,8 @@ class TestCsv:
     def test_header_and_precision(self, oscillator, tmp_path):
         traj = integrate(oscillator, [1.0, 0.0], 1.0, 0.25)
         path = tmp_path / "traj.csv"
-        write_csv(path, oscillator, traj, {"energy": [energy_integral(oscillator)]})
+        energy = evaluate_integral(oscillator, [energy_integral(oscillator)], traj)
+        write_csv(path, oscillator, traj, {"energy": energy})
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x1,v1,energy"
         assert len(lines) == len(traj.times) + 1

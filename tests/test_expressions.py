@@ -3,6 +3,7 @@ import pytest
 
 from noetherkit import Context, ContextError, ParseError, UnknownIdentifierError, parse, print_expression
 from noetherkit.conditions import VelocityError, total_time_derivative
+from noetherkit.parsing import MAX_DEPTH
 
 
 class TestContext:
@@ -86,6 +87,25 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse(source, ctx1)
         assert err.value.offset == offset
+
+    def test_nesting_bounded(self, ctx1):
+        """Parentheses nest at most MAX_DEPTH deep, whether grouping or a function's."""
+        x = ctx1.xs[0]
+        assert parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, ctx1) == x
+        assert parse("sin(" * (MAX_DEPTH - 1) + "(x)" + ")" * (MAX_DEPTH - 1), ctx1).has(x)
+        for source in ("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+                       "x + " + "sin(" * 400 + "x" + ")" * 400):
+            with pytest.raises(ParseError, match=f"nest deeper than {MAX_DEPTH}") as err:
+                parse(source, ctx1)
+            # the opening parenthesis one level too deep
+            assert source[err.value.offset] == "("
+            assert source[:err.value.offset + 1].count("(") == MAX_DEPTH + 1
+
+    def test_run_of_minus_signs(self, ctx1):
+        x = ctx1.xs[0]
+        assert parse("-" * 3000 + "x", ctx1) == x
+        assert parse("1 - " + "-" * 2999 + "x^2", ctx1) == 1 + x**2
+        assert parse("--x^2*-x", ctx1) == -(x**3)
 
     def test_folded_results_within_bounds(self, ctx1):
         x = ctx1.xs[0]

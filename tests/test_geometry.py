@@ -3,7 +3,7 @@ import sympy as sp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import noetherkit.solver
+import noetherkit.geometry
 from noetherkit import (
     Context,
     HomotheticKind,
@@ -245,8 +245,8 @@ class TestSolveHomothetic:
         def no_monomials(*args):
             raise AssertionError("monomials built for an oversized ansatz")
 
-        monkeypatch.setattr(noetherkit.solver, "_spatial_monomials", no_monomials)
-        monkeypatch.setattr(noetherkit.solver, "MAX_UNKNOWNS", 20)
+        monkeypatch.setattr(noetherkit.geometry, "_spatial_monomials", no_monomials)
+        monkeypatch.setattr(noetherkit.geometry, "MAX_UNKNOWNS", 20)
         # 2 components x C(2 + 3, 2) monomials + psi = 21 unknowns
         with pytest.raises(GeometryError, match="21 unknowns exceeds the 20 limit"):
             solve_homothetic(euclidean(ctx2), degree=3)

@@ -48,3 +48,39 @@ def test_kernel_has_one_canonicaliser():
     found = [m for m in imported_modules((PACKAGE / "normal.py").read_text())
              if m == "sympy.simplify" or m.startswith("sympy.simplify.")]
     assert found == []
+
+
+def test_geometry_imports_nothing_from_the_solver():
+    """The solver builds on geometry's monomials and sizing bound, not the other way round."""
+    assert "solver" in imported_modules("from .solver import MAX_UNKNOWNS\n")
+    assert not {"solver", "noetherkit.solver"} & imported_modules(
+        (PACKAGE / "geometry.py").read_text())
+
+
+def test_only_the_kernel_builds_matrices():
+    """Every QQ matrix is built by normal._Ring.matrix."""
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if any(m.startswith("sympy.polys.matrices")
+                    for m in imported_modules(path.read_text()))]
+    assert found == ["normal.py"]
+
+
+def names_used(source: str) -> set[str]:
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_no_lambdify():
+    """Floats are evaluated through code that normal.MATH_PRINTER or NumPyPrinter prints."""
+    assert "lambdify" in names_used("import sympy as sp\nsp.lambdify(x, x)\n")
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "lambdify" in names_used(path.read_text())]
+    assert found == []
+
+
+def test_no_tolerance_option():
+    from noetherkit.cli import build_parser
+    options = {s for action in build_parser()._actions for s in action.option_strings}
+    assert "--seed" in options
+    assert not any(s.startswith("--tol") for s in options)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from noetherkit.normal import (
     SAMPLE_COUNT,
     SAMPLE_RANGE,
     UnsupportedEquationError,
+    _sampled_values,
     sample_points,
 )
 from noetherkit.solver import AnsatzSpec, solve
@@ -127,9 +129,12 @@ class TestIsZero:
         assert res.status is ZeroStatus.UNDECIDED
         assert res.samples > 0
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            is_zero(x, tol=0)
+    def test_complex_value_inside_a_function(self):
+        """cos of the complex cube root of a negative x leaves the domain: the point is
+        retried at |x| + 1/8, so every sample point is used."""
+        res = is_zero(sp.cos(x ** sp.Rational(1, 3)) * x)
+        assert res.status is ZeroStatus.NONZERO
+        assert res.samples == SAMPLE_COUNT
 
     def test_seed_determinism(self):
         a = is_zero(x**3 - x, seed=7)
@@ -237,7 +242,52 @@ def offset_products(draw):
     return draw(poly_trig_exprs()) * sp.Mul(*(f(p) ** k for f, p, k in factors))
 
 
+def lambdified_values(e, seed):
+    """_sampled_values as it was written with one lambdify per term: the reference."""
+    symbols = sorted(e.free_symbols, key=lambda s: s.name)
+    fns = [sp.lambdify(symbols, term, modules=["math"]) for term in sp.Add.make_args(e)]
+    out = []
+    for row in sample_points(symbols, seed):
+        for candidate in (row, [abs(c) + 0.125 for c in row]):
+            values = []
+            for fn in fns:
+                try:
+                    v = fn(*candidate)
+                    if isinstance(v, complex):
+                        v = v.real if abs(v.imag) <= 1e-9 * (1.0 + abs(v.real)) else None
+                    values.append(v if v is not None and math.isfinite(v) else None)
+                except (ValueError, ZeroDivisionError, OverflowError, TypeError):
+                    values.append(None)
+            if None not in values:
+                out.append((dict(zip(symbols, candidate)), sum(values), max(map(abs, values))))
+                break
+    return out
+
+
+lam = sp.Symbol("lambda", real=True)
+# ln and roots of negative values, division by zero at a point, a complex value inside
+# a function, a coefficient past float range, and a name that is a Python keyword
+DOMAIN_TERMS = [sp.log(x), sp.log(x - t), sp.sqrt(x), sp.sqrt(t * x), 1 / (x - t),
+                1 / x, x ** sp.Rational(1, 3), sp.cos(x ** sp.Rational(1, 3)), sp.exp(x * t),
+                sp.sin(x) ** 2, x**2, t, sp.Integer(10) ** 400 * x, lam * x, sp.log(lam)]
+
+
+@st.composite
+def domain_exprs(draw):
+    terms = draw(st.lists(st.tuples(st.sampled_from(DOMAIN_TERMS),
+                                    st.sampled_from(DOMAIN_TERMS + [sp.Integer(1)]), coeffs),
+                          min_size=1, max_size=4))
+    return sp.Add(*(c * a * b for a, b, c in terms))
+
+
 class TestProperties:
+    @given(domain_exprs(), st.sampled_from([DEFAULT_SEED, 7]))
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_values_match_lambdify(self, e, seed):
+        """One printed function for all terms samples as one lambdify per term did."""
+        assert _sampled_values(e, seed) == lambdified_values(e, seed)
+
+
     @given(identities(), poly_trig_exprs(), poly_trig_exprs())
     @settings(max_examples=60, deadline=None)
     def test_identities_are_zero(self, identity, p, q):
