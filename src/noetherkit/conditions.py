@@ -279,5 +279,16 @@ def constant_free(f: sp.Expr, ctx: Context) -> sp.Expr:
     """f without its part free of t, x and xdot, which is gauge in a boundary term;
     exp(t + 1) stays one term, not E*exp(t)."""
     varying = {ctx.t, *ctx.xs, *ctx.vs}
-    return sp.Add(*(term for term in sp.Add.make_args(sp.expand(f, power_exp=False))
+    return sp.Add(*(_joined_exp(term)
+                    for term in sp.Add.make_args(sp.expand(f, power_exp=False))
                     if term.free_symbols & varying))
+
+
+def _joined_exp(term: sp.Expr) -> sp.Expr:
+    """term with the constant factors that sympy's cancel and integrate split off an
+    exponent joined back: E*x*exp(t) is x*exp(t + 1)."""
+    factors = sp.Mul.make_args(term)
+    powers = [m.as_base_exp()[1] for m in factors if m.as_base_exp()[0] == sp.E]
+    if len(powers) < 2 or not any(e.is_number for e in powers):
+        return term
+    return sp.Mul(*(m for m in factors if m.as_base_exp()[0] != sp.E), sp.exp(sp.Add(*powers)))

@@ -80,7 +80,7 @@ def first_integral(
     for m, H, A in parts:
         eta = X.orders[A].eta
         expr += X.orders[A].xi * H - sp.Add(*(_momentum(L, m, i) * eta[i] for i in range(n)))
-    return FirstIntegral(gamma, sp.expand(expr), X.name, gamma)
+    return FirstIntegral(gamma, sp.expand(expr, power_exp=False), X.name, gamma)
 
 
 def total_integral(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,8 +20,8 @@ from .normal import MATH_PRINTER
 
 # RK4 steps allowed per integration (one epsilon); checked before any allocation
 MAX_STEPS = 10**7
-# write_csv converts this many rows at a time to Python floats
-CSV_BLOCK_ROWS = 4096
+# evaluate_integral evaluates, and write_csv converts to Python floats, this many rows at a time
+BLOCK_ROWS = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -55,18 +56,22 @@ def require_numeric(ctx: Context, exprs: Sequence[sp.Expr], what: str) -> None:
                                      f"in {what}: simulate needs a number for every parameter")
 
 
-def _step_function(L: PerturbedLagrangian, epsilon: float):
-    """One RK4 step as straight-line scalar code: step(t, dt, *state) -> state.
+def _kernel(L: PerturbedLagrangian, epsilon: float):
+    """The RK4 loop as straight-line scalar code:
+    run(t_start, dt, steps, extend, *state) -> None, or (k, t, state, exc) where step k
+    from time t failed.
 
     Each acceleration is printed once, by ``MATH_PRINTER``, and inlined in each
     of the four stages under the problem's own names (``t``, ``x``, ``xdot``,
-    ...), which the stage binds to its time and state; the step's other names
+    ...), which the stage binds to its time and state; the kernel's other names
     start with more underscores than any problem name.  The arithmetic is the
     textbook update with stages k, l, p, q (``s + dt / 2 * k``,
     ``s + dt / 2 * l``, ``s + dt * p``, then
     ``s + dt / 6 * (k + 2 * l + 2 * p + q)``) operation for operation, so
     trajectories are bit-identical to a loop over lists that calls the
-    lambdified accelerations.
+    lambdified accelerations.  Each new state is checked finite and passed to
+    ``extend``.  A step that raises returns the state it started from, with exc
+    the exception; a non-finite state returns itself, with exc None.
     """
     ctx = L.ctx
     try:
@@ -83,24 +88,40 @@ def _step_function(L: PerturbedLagrangian, epsilon: float):
     n = ctx.dimension
     s = [f"{u}s{j}" for j in range(2 * n)]
     y = [f"{u}y{j}" for j in range(2 * n)]
-    lines = [f"def step({u}t, {u}dt, {', '.join(s)}):",
+    state = ", ".join(s)
+    lines = [f"def run({u}t0, {u}dt, {u}steps, {u}extend, {state}, {u}isfinite=isfinite):",
              f"    {u}h = {u}dt / 2",
-             f"    {u}th = {u}t + {u}h"]
+             f"    {u}h6 = {u}dt / 6",
+             f"    {u}t = {u}t0",
+             "    try:",
+             f"        for {u}i in range({u}steps):",
+             f"            {u}th = {u}t + {u}h"]
     # each stage: bind the problem's names, k0..k{2n-1} = the derivative there, next state
-    for k, t, state, h in (("k", f"{u}t", s, f"{u}h"), ("l", f"{u}th", y, f"{u}h"),
+    for k, t, stage, h in (("k", f"{u}t", s, f"{u}h"), ("l", f"{u}th", y, f"{u}h"),
                            ("p", f"{u}th", y, f"{u}dt"), ("q", f"{u}t + {u}dt", y, None)):
-        values = (t, *state)
-        lines += [f"    {name} = {values[i]}" for i, name in bound]
-        lines += [f"    {u}{k}{j} = {state[n + j]}" for j in range(n)]
-        lines += [f"    {u}{k}{n + i} = {r}" for i, r in enumerate(rhs)]
-        lines += [f"    {y[j]} = {s[j]} + {h} * {u}{k}{j}" for j in range(2 * n) if h]
-    lines.append(f"    {u}h = {u}dt / 6")
-    lines += [f"    {s[j]} = {s[j]} + {u}h * ({u}k{j} + 2 * {u}l{j} + 2 * {u}p{j} + {u}q{j})"
-              for j in range(2 * n)]
-    lines.append(f"    return ({', '.join(s)},)")
+        values = (t, *stage)
+        lines += [f"            {name} = {values[i]}" for i, name in bound]
+        lines += [f"            {u}{k}{j} = {stage[n + j]}" for j in range(n)]
+        lines += [f"            {u}{k}{n + i} = {r}" for i, r in enumerate(rhs)]
+        lines += [f"            {y[j]} = {s[j]} + {h} * {u}{k}{j}" for j in range(2 * n) if h]
+    # one tuple assignment: a step that raises leaves the state it started from
+    lines.append(f"            {state}, = " + ", ".join(
+        f"{s[j]} + {u}h6 * ({u}k{j} + 2 * {u}l{j} + 2 * {u}p{j} + {u}q{j})"
+        for j in range(2 * n)) + ",")
+    # a finite sum has finite terms; an overflowing sum of finite terms is rare
+    finite = " and ".join(f"{u}isfinite({v})" for v in s)
+    lines += [f"            if not ({u}isfinite({' + '.join(s)}) or ({finite})):",
+              f"                return {u}i, {u}t, ({state},), None",
+              f"            {u}t = {u}t0 + ({u}i + 1) * {u}dt",
+              f"            {u}extend(({state},))",
+              # TypeError: a fractional power of a negative number is complex, in a
+              # stage or in the state, whose finiteness check then raises
+              "    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as "
+              f"{u}exc:",
+              f"        return {u}i, {u}t, ({state},), {u}exc"]
     namespace = {**vars(math), "__name__": __name__}
     exec("\n".join(lines), namespace)
-    return namespace["step"]
+    return namespace["run"]
 
 
 def integrate(
@@ -135,28 +156,18 @@ def integrate(
         raise IntegrationError(
             f"(t_end - t_start) / dt = {span:g} steps exceeds the limit of {MAX_STEPS} per epsilon"
         )
-    step = _step_function(L, epsilon)
+    run = _kernel(L, epsilon)
     steps = max(1, int(round(span)))
     # keep the grid uniform AND land exactly on t_end
     dt = (t_end - t_start) / steps
     flat = array("d", state)
-    isfinite = math.isfinite
-    t = t_start
-    for k in range(steps):
-        try:
-            state = step(t, dt, *state)
-            # a finite sum has finite terms; an overflowing sum of finite terms is rare
-            if not (isfinite(sum(state)) or all(map(isfinite, state))):
-                raise IntegrationError(f"non-finite state at step {k+1}, t={t+dt}")
-        # TypeError: a fractional power of a negative number is complex, in the step
-        # or in the state it returns
-        except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
-            raise IntegrationError(
-                f"step {k} at t={t}: {exc}; state={list(state)}"
-            ) from exc
-        t = t_start + (k + 1) * dt
-        flat.extend(state)
-    # t_start + k * dt for every k, as the loop computes t
+    failure = run(t_start, dt, steps, flat.extend, *state)
+    if failure is not None:
+        k, t, state, exc = failure
+        if exc is None:
+            raise IntegrationError(f"non-finite state at step {k+1}, t={t+dt}")
+        raise IntegrationError(f"step {k} at t={t}: {exc}; state={list(state)}") from exc
+    # t_start + k * dt for every k, as the kernel computes t
     times = np.arange(steps + 1, dtype=float)
     times *= dt
     times += t_start
@@ -172,9 +183,10 @@ def evaluate_integral(
 
     Each component is printed by sympy's ``NumPyPrinter()`` (fully qualified
     ``numpy.`` names) into one generated function that returns all of them,
-    evaluated once on the whole trajectory; the components are summed in
-    order.  Raises IntegrationError at the first time where the value is not
-    finite.
+    evaluated on BLOCK_ROWS points of the trajectory at a time; the components
+    are summed in order into the block's slice of the output, so no other
+    array is as long as the trajectory.  Raises IntegrationError at the first
+    time where the value is not finite.
     """
     ctx = L.ctx
     eps = sp.Rational(str(traj.epsilon))
@@ -183,14 +195,18 @@ def evaluate_integral(
     namespace = {"numpy": np}
     exec(f"def components({', '.join(map(str, (ctx.t, *ctx.xs, *ctx.vs)))}):\n"
          f"    return ({terms})", namespace)
+    components = namespace["components"]
     out = np.zeros(len(traj.times))
-    with np.errstate(all="ignore"):
-        for value in namespace["components"](traj.times, *traj.states.T):
-            out = out + value
-    bad = ~np.isfinite(out)
-    if bad.any():
-        t = traj.times[np.argmax(bad)]
-        raise IntegrationError(f"integral evaluation failed at t={t}: non-finite value")
+    for start in range(0, len(out), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        total = out[rows]
+        with np.errstate(all="ignore"):
+            for value in components(traj.times[rows], *traj.states[rows].T):
+                np.add(total, value, out=total)
+        bad = ~np.isfinite(total)
+        if bad.any():
+            t = traj.times[start + np.argmax(bad)]
+            raise IntegrationError(f"integral evaluation failed at t={t}: non-finite value")
     return out
 
 
@@ -204,12 +220,14 @@ def drift(
         integrals = [integrals]
     values = integrals if isinstance(integrals, np.ndarray) else evaluate_integral(
         L, integrals, traj)
-    deltas = values - values[0]
+    v0 = values[0]
+    # max |v - v0| is reached at the largest or the smallest v, as float subtraction is
+    # monotone; abs makes a zero drift +0.0
     return DriftRecord(
         name or integrals[0].source,
         traj.epsilon,
-        float(np.max(np.abs(deltas))),
-        float(deltas[-1]),
+        float(max(abs(values.max() - v0), abs(values.min() - v0))),
+        float(values[-1] - v0),
         (float(traj.times[0]), float(traj.times[-1])),
     )
 
@@ -247,7 +265,9 @@ def fit_slope(records: Sequence[DriftRecord], noise_floor: float = 1e-12) -> Sca
     """Log-log slope of max drift against epsilon from existing records.
 
     Each distinct positive epsilon enters the fit once, if its drift is above
-    the noise floor; the others are listed as excluded.
+    the noise floor; the others are listed as excluded.  The least-squares
+    slope of the float logarithms is computed exactly, in fractions, and
+    rounded once; with fewer than two distinct logarithms of epsilon it is None.
     """
     kept: dict[float, float] = {}
     excluded = []
@@ -264,7 +284,15 @@ def fit_slope(records: Sequence[DriftRecord], noise_floor: float = 1e-12) -> Sca
         if not invalid:
             note = "all drifts at or below the integrator noise floor"
         return ScalingResult(None, tuple(records), tuple(excluded), note + "; slope indeterminate")
-    slope = float(np.polyfit(np.log(list(kept)), np.log(list(kept.values())), 1)[0])
+    xs = [Fraction(math.log(e)) for e in kept]
+    ys = [Fraction(math.log(d)) for d in kept.values()]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - x_mean) ** 2 for x in xs)
+    if sxx == 0:
+        note = (note + "; " if note else "") + (
+            f"the {len(kept)} epsilons fitted have the same logarithm; slope indeterminate")
+        return ScalingResult(None, tuple(records), tuple(excluded), note)
+    slope = float(sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sxx)
     return ScalingResult(slope, tuple(records), tuple(excluded), note)
 
 
@@ -282,6 +310,6 @@ def write_csv(
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
-            block = (c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns)
+        for start in range(0, len(traj.times), BLOCK_ROWS):
+            block = (c[start:start + BLOCK_ROWS].tolist() for c in columns)
             fh.writelines(row % values for values in zip(*block))

@@ -278,6 +278,25 @@ class TestSolve:
         ctx = load_problem(problem).ctx
         assert all(print_expression(parse(e, ctx)) == e for e in printed)
 
+    @pytest.mark.parametrize("command", ["integrals", "verify"])
+    def test_exp_with_a_constant_term_in_a_boundary(self, tmp_path, capsys, command):
+        """exp(t+1) in eta stays one exp, not E*exp(t), in the conservation law and in the
+        boundary term recovered when f is left out."""
+        doc = json.loads(fixture_path("oscillator.json").read_text())
+        doc["V0"] = "-x^2/2"
+        doc["candidates"] = [{"name": "Zp", "xi": ["0", "0"], "eta": [["exp(t+1)"], ["0"]]}]
+        problem = tmp_path / "inverted.json"
+        problem.write_text(json.dumps(doc))
+        code, report = run_report(tmp_path, command, problem)
+        assert code == 0
+        if command == "integrals":
+            assert capsys.readouterr().out.splitlines()[0] == (
+                "I[Zp] order 0: eps^0 * (x*exp(t + 1) - xdot*exp(t + 1))")
+        else:
+            (verdict,) = report["verdicts"]
+            assert verdict["boundary"] == ["x*exp(t + 1)", "0"]
+            assert {e["status"] for e in verdict["equations"]} == {"zero"}
+
     def test_time_basis_element_with_a_coordinate(self, tmp_path, capsys):
         problem = fixture_probe(tmp_path, ("ansatz", "time_basis"), ["1", "x"],
                                 fixture="free_particle.json")
@@ -450,6 +469,25 @@ class TestSimulate:
             assert scaling["note"].endswith("slope indeterminate")
         else:
             assert 1.7 <= scaling["exponent"] <= 2.3
+
+    @pytest.mark.filterwarnings("error")
+    def test_epsilons_with_one_logarithm(self, tmp_path):
+        """0.01 and the next float up are distinct epsilons with the same logarithm: one
+        abscissa, so no slope is fit."""
+        doc = json.loads(fixture_path("case4.json").read_text())
+        doc["simulation"]["t_end"] = 5.0
+        problem = tmp_path / "case4.json"
+        problem.write_text(json.dumps(doc))
+        code, report = run_report(tmp_path, "simulate", problem,
+                                  "--epsilon", "0.01", "--epsilon", "0.010000000000000002")
+        assert code == 0
+        notes = {s["integral"]: s["note"] for s in report["scaling"]}
+        assert all(s["exponent"] is None for s in report["scaling"])
+        assert notes["Z0"] == ("all drifts at or below the integrator noise floor; "
+                               "slope indeterminate")
+        for name in ("Zt", "Z5y"):
+            assert notes[name] == "the 2 epsilons fitted have the same logarithm; " \
+                                  "slope indeterminate"
 
     @pytest.mark.parametrize("epsilons", [["0.02"], ["0.02", "0.01", "0.005"]])
     def test_accelerations_solved_once(self, sim_problem, monkeypatch, epsilons):

@@ -1,8 +1,11 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import sympy as sp
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy.printing.numpy import NumPyPrinter
 
 from noetherkit import (
@@ -20,6 +23,8 @@ from noetherkit import (
 from noetherkit import dynamics
 from noetherkit.conservation import EPSILON, FirstIntegral, accelerations
 from noetherkit.dynamics import (
+    BLOCK_ROWS,
+    DriftRecord,
     IntegrationError,
     Trajectory,
     drift,
@@ -92,12 +97,13 @@ def reference_values(L, integrals, traj):
     ])
 
 
-def reference_failure(L, initial, t_end, dt):
+def reference_failure(L, initial, t_end, dt, epsilon=0.0, t_start=0.0):
     """integrate's message for the step where reference_rows first raises,
     or for its first non-finite row."""
-    dt_grid = t_end / max(1, int(round(t_end / dt)))
+    dt_grid = (t_end - t_start) / max(1, int(round((t_end - t_start) / dt)))
     try:
-        for k, (t, state) in enumerate(reference_rows(L, initial, t_end, dt)):
+        for k, (t, state) in enumerate(
+                reference_rows(L, initial, t_end, dt, epsilon, t_start)):
             if not all(map(math.isfinite, state)):
                 return f"non-finite state at step {k}, t={t_prev + dt_grid}"
             t_prev, state_prev = t, state
@@ -270,6 +276,71 @@ class TestStraightLineStep:
             integrate(oscillator, **run)
 
 
+@st.composite
+def rk4_runs(draw):
+    """A polynomial two-dimensional problem and a short run, forward or backward.  From
+    a huge initial state, the linear force of a quadratic V takes the state to inf and
+    a power in the force of a quartic V raises OverflowError."""
+    ctx = Context(("x", "y"))
+    t, (x, y) = ctx.t, ctx.xs
+    degree = draw(st.sampled_from([2, 4]))
+
+    def polynomial(times):
+        monomials = [(i, j, k) for i in range(degree + 1) for j in range(degree + 1)
+                     if 0 < i + j <= degree for k in range(times)]
+        coefficients = draw(st.lists(st.integers(-3, 3), min_size=len(monomials),
+                                     max_size=len(monomials)))
+        return sum(c * x**i * y**j * t**k for c, (i, j, k) in zip(coefficients, monomials))
+
+    L = flat_lagrangian(ctx, polynomial(1), polynomial(2) / 2)
+    scale = draw(st.sampled_from([1.0, 1e307]))
+    initial = [scale * v for v in draw(st.lists(st.floats(-1, 1), min_size=4, max_size=4))]
+    steps = draw(st.integers(1, 40))
+    dt = draw(st.sampled_from([0.01, 0.05, 0.1, -0.05]))
+    t_start = draw(st.sampled_from([0.0, 0.5, -1.25]))
+    epsilon = draw(st.floats(-1, 1))
+    return L, initial, t_start + steps * dt, dt, epsilon, t_start
+
+
+class TestKernel:
+    """The generated loop against reference_rk4: same trajectory, or same failure."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=rk4_runs())
+    def test_matches_reference_rk4(self, run):
+        L, initial, t_end, dt, epsilon, t_start = run
+        try:
+            times, states = reference_rk4(L, initial, t_end, dt, epsilon, t_start)
+            finite = bool(np.isfinite(states).all())
+        except OverflowError:
+            finite = False
+        if finite:
+            traj = integrate(L, initial, t_end, dt, epsilon, t_start)
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, states)
+        else:
+            with pytest.raises(IntegrationError) as info:
+                integrate(L, initial, t_end, dt, epsilon, t_start)
+            assert str(info.value) == reference_failure(L, initial, t_end, dt, epsilon,
+                                                         t_start)
+
+    @pytest.mark.parametrize("case", ["power-overflows", "state-overflows"])
+    def test_blowup_in_two_dimensions(self, henon_heiles, case):
+        """After many finite steps, a power in the Henon-Heiles force raises, or a linear
+        force takes the state to inf."""
+        if case == "power-overflows":
+            L, run = henon_heiles, ([3.0, -2.0, 1.0, 0.5], 40.0, 0.1, 0.7, 1.0)
+        else:
+            ctx = Context(("x", "y"))
+            (x, y), t = ctx.xs, ctx.t
+            L = flat_lagrangian(ctx, -3 * (x**2 + y**2), x * y * t)
+            run = ([1e300, -1e299, 0.0, 0.0], 40.0, 0.1, 0.5, 1.0)
+        with pytest.raises(IntegrationError) as info:
+            integrate(L, *run)
+        assert str(info.value) == reference_failure(L, *run)
+        assert not str(info.value).startswith(("step 0 ", "non-finite state at step 1,"))
+
+
 class TestBitIdentity:
     """On the shipped simulations at 2% of t_end, every epsilon: integrate
     equals reference_rk4 and evaluate_integral the lambdified numpy sum."""
@@ -333,6 +404,73 @@ class TestEvaluateIntegral:
             evaluate_integral(oscillator, bad, traj)
 
 
+class TestBlockedEvaluation:
+    def test_matches_whole_array_numpy(self, henon_heiles):
+        """Over three blocks and a part of one, every value equals the sum evaluated on
+        the whole trajectory at once."""
+        ctx = henon_heiles.ctx
+        t, (x, y), (u, w) = ctx.t, ctx.xs, ctx.vs
+        comps = [
+            FirstIntegral(0, sp.sin(t) * x * u + sp.cos(y) * w**2 - sp.sqrt(1 + u**2), "I", 0),
+            FirstIntegral(1, sp.exp(t / 10) * x**2 + sp.log(2 + y) * u**2, "I", 1),
+        ]
+        steps = 3 * BLOCK_ROWS + 16
+        traj = integrate(henon_heiles, [0.4, 0.3, 0.0, 0.1], steps / 1000, 1e-3, epsilon=0.2)
+        assert len(traj.times) == 3 * BLOCK_ROWS + 17
+        assert np.array_equal(evaluate_integral(henon_heiles, comps, traj),
+                              reference_numpy_values(henon_heiles, comps, traj))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_value_names_first_time_across_blocks(self, oscillator, monkeypatch):
+        monkeypatch.setattr(dynamics, "BLOCK_ROWS", 7)
+        x = oscillator.ctx.xs[0]
+        traj = integrate(oscillator, [1.0, 0.0], 3.0, 1e-2)
+        first = traj.times[np.argmax(traj.states[:, 0] <= 0)]
+        assert np.argmax(traj.states[:, 0] <= 0) > 7
+        with pytest.raises(IntegrationError) as info:
+            evaluate_integral(oscillator, [FirstIntegral(0, sp.log(x), "ln", 0)], traj)
+        assert str(info.value) == f"integral evaluation failed at t={first}: non-finite value"
+
+    def test_constant_component_in_every_block(self, oscillator, monkeypatch):
+        monkeypatch.setattr(dynamics, "BLOCK_ROWS", 4)
+        x = oscillator.ctx.xs[0]
+        traj = integrate(oscillator, [1.0, 0.0], 1.0, 0.1, epsilon=0.5)
+        comps = [FirstIntegral(0, x, "c", 0), FirstIntegral(1, sp.Integer(3), "c", 1)]
+        assert np.array_equal(evaluate_integral(oscillator, comps, traj),
+                              reference_numpy_values(oscillator, comps, traj))
+
+    def test_memory_bounded_by_the_output(self, oscillator):
+        """Beyond its output, evaluation holds a few arrays of one block at a time."""
+        times = np.linspace(0.0, 100.0, 10**5)
+        traj = Trajectory(times, np.column_stack([np.cos(times), -np.sin(times)]), 0.0)
+        t, x, v = oscillator.ctx.t, oscillator.ctx.xs[0], oscillator.ctx.vs[0]
+        law = [FirstIntegral(0, v * sp.cos(t) + x * sp.sin(t), "J", 0),
+               FirstIntegral(0, sp.exp(-t / 50) * x**2 / 2 + sp.sqrt(1 + v**2), "E", 0)]
+        evaluate_integral(oscillator, law, traj)  # sympy's caches are filled once
+        tracemalloc.start()
+        try:
+            values = evaluate_integral(oscillator, law, traj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.nbytes == 8 * 10**5
+        assert peak < values.nbytes + 8 * (8 * BLOCK_ROWS)
+
+
+class TestDriftFormula:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e300])
+                    | st.floats(-1e300, 1e300), min_size=1, max_size=30))
+    def test_equals_max_of_absolute_deltas(self, values):
+        """max(|vmax - v0|, |vmin - v0|) is max |v - v0| to the bit, ties and signed
+        zeros included."""
+        v = np.array(values)
+        traj = Trajectory(np.arange(len(v), dtype=float), np.zeros((len(v), 2)), 0.1)
+        record = drift(None, v, traj, "I")  # values given: the Lagrangian is not read
+        assert np.float64(record.max_abs_drift).tobytes() == np.max(np.abs(v - v[0])).tobytes()
+        assert np.float64(record.final_drift).tobytes() == (v[-1] - v[0]).tobytes()
+
+
 class TestScaling:
     def test_rotation_drift_scales_quadratically(self, henon_heiles):
         x, y = henon_heiles.ctx.xs
@@ -365,6 +503,38 @@ class TestScaling:
         result = fit_slope(records)
         assert result.exponent == pytest.approx(2.0, abs=1e-9)
 
+    def test_fit_slope_matches_polyfit(self):
+        """The exact least-squares slope against numpy's, on 2000 seeded random fits."""
+        rng = random.Random(20260513)
+        for _ in range(2000):
+            logs = sorted(rng.uniform(math.log(1e-4), math.log(0.5))
+                          for _ in range(rng.randint(2, 8)))
+            if logs[-1] - logs[0] < 0.1:
+                continue
+            epsilons = [math.exp(a) for a in logs]
+            power = rng.uniform(0.5, 4.0)
+            drifts = [rng.uniform(0.5, 2.0) * e**power for e in epsilons]
+            records = [DriftRecord("I", e, d, d, (0.0, 1.0)) for e, d in zip(epsilons, drifts)]
+            result = fit_slope(records, noise_floor=0.0)
+            expected = np.polyfit(np.log(epsilons), np.log(drifts), 1)[0]
+            assert result.exponent == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_one_logarithm_of_epsilon(self):
+        """Distinct epsilons whose logarithms are equal are one abscissa."""
+        same = [0.01, 0.010000000000000002]
+        assert same[0] != same[1] and math.log(same[0]) == math.log(same[1])
+        records = [DriftRecord("I", e, d, d, (0.0, 1.0)) for e, d in zip(same, [1e-4, 2e-4])]
+        result = fit_slope(records)
+        assert result.exponent is None
+        assert result.excluded == ()
+        assert result.note == "the 2 epsilons fitted have the same logarithm; " \
+                              "slope indeterminate"
+        # a third abscissa determines the fit, and both equal points are in it
+        third = DriftRecord("I", 0.1, 1e-2, 1e-2, (0.0, 1.0))
+        result = fit_slope([*records, third])
+        expected = np.polyfit(np.log([*same, 0.1]), np.log([1e-4, 2e-4, 1e-2]), 1)[0]
+        assert result.exponent == pytest.approx(expected, rel=1e-12)
+
     def test_needs_two_epsilons(self, oscillator):
         with pytest.raises(ValueError):
             scaling_exponent(
@@ -392,7 +562,7 @@ class TestCsv:
     def test_rows_match_per_value_format(self, oscillator, tmp_path, monkeypatch):
         """Byte-identical to formatting each value with f"{v:.17g}", across
         block boundaries and for signed zeros, subnormals and large values."""
-        monkeypatch.setattr(dynamics, "CSV_BLOCK_ROWS", 3)
+        monkeypatch.setattr(dynamics, "BLOCK_ROWS", 3)
         times = np.array([0.0, -0.0, 1 / 3, 5e-324, 1e22, 2.5, 1e-7])
         states = np.column_stack([times[::-1] * 7, -times / 3])
         traj = Trajectory(times, states, 0.1)

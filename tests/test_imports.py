@@ -2,6 +2,9 @@
 kernel imports no second canonicaliser."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import noetherkit
@@ -77,6 +80,27 @@ def test_no_lambdify():
     found = [path.name for path in sorted(PACKAGE.glob("*.py"))
              if "lambdify" in names_used(path.read_text())]
     assert found == []
+
+
+def test_no_lapack():
+    """The drift fit is exact in fractions, so no run initialises LAPACK or a BLAS."""
+    assert "linalg" in names_used("import numpy as np\nnp.linalg.lstsq(a, b)\n")
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if {"polyfit", "linalg"} & names_used(path.read_text())]
+    assert found == []
+
+
+def test_import_leaves_numpy_out():
+    """numpy loads with simulate's module, not with the package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, noetherkit\n"
+            "print(noetherkit.__file__)\n"
+            "print(sorted({'numpy', 'noetherkit.dynamics'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert Path(out[0]).parent == PACKAGE
+    assert out[1] == "[]"
 
 
 def test_no_tolerance_option():
