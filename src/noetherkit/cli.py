@@ -171,10 +171,13 @@ def cmd_solve(problem: Problem, args) -> tuple[dict, int]:
         print(f"{g.name}: xi={generators[-1]['xi']} eta={generators[-1]['eta']}")
     kept = [X for X in candidates if not X.quarantined]
     quarantined = [{"name": X.name, "note": X.note} for X in candidates if X.quarantined]
-    membership = [{"name": X.name, "in_span": inside}
-                  for X, inside in zip(kept, contains(basis, kept))]
-    for m in membership:
-        print(f"{m['name']}: {'in span' if m['in_span'] else 'NOT in span'}")
+    reasons = {}
+    answers = contains(basis, kept, reasons)
+    membership = [{"name": X.name, "in_span": inside} for X, inside in zip(kept, answers)]
+    for j, m in enumerate(membership):
+        m.update({"reason": reasons[j]} if j in reasons else {})
+        words = {True: "in span", False: "NOT in span", None: f"undecided ({reasons.get(j)})"}
+        print(f"{m['name']}: {words[m['in_span']]}")
     print(f"nullspace dimension {basis.nullspace_dim}; {basis.gauge_note}")
     report = {
         "solution_basis": {
@@ -185,7 +188,8 @@ def cmd_solve(problem: Problem, args) -> tuple[dict, int]:
         "membership": membership,
         "quarantined": quarantined,
     }
-    return report, EXIT_OK if all(m["in_span"] for m in membership) else EXIT_CHECK_FAILED
+    return report, (EXIT_CHECK_FAILED if False in answers
+                    else EXIT_UNSUPPORTED if None in answers else EXIT_OK)
 
 
 def cmd_integrals(problem: Problem, args) -> tuple[dict, int]:

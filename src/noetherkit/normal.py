@@ -119,24 +119,29 @@ def _eval_at(fn, values):
         return None
 
 
+class _ArgumentPrinter(PythonCodePrinter):
+    """``MATH_PRINTER`` that prints each symbol as its name in ``arguments``."""
+
+    def _print_Symbol(self, expr):
+        return self.arguments[expr]
+
+    _print_Dummy = _print_Symbol
+
+
 def _sampled_values(e: sp.Expr, seed: int):
     """Evaluate e and its top-level terms at the seeded sample points.
 
-    The terms are printed with ``MATH_PRINTER`` into one generated function whose
-    arguments are the symbols renamed _a0, _a1, ..., so that any name prints;
-    zero-padded, the names sort as the originals do, so each term prints in the
-    same order.  Points where evaluation leaves the domain (ln of a non-positive
-    value, division by zero, a complex value) are retried at the componentwise
-    |v| + 1/8 image, which keeps the procedure deterministic.
+    The terms print as they are, as lambdify prints them, into one generated function
+    of _a0, _a1, ..., so that any name prints.  Points where evaluation leaves the
+    domain (ln of a non-positive value, division by zero, a complex value) are retried
+    at the componentwise |v| + 1/8 image, which keeps the procedure deterministic.
     """
     symbols = sorted(e.free_symbols, key=lambda s: s.name)
-    width = len(str(len(symbols)))
-    args = [sp.Symbol(f"_a{i:0{width}}", **s.assumptions0) for i, s in enumerate(symbols)]
-    renamed = dict(zip(symbols, args))
-    terms = "".join(f"{MATH_PRINTER.doprint(term.xreplace(renamed))}, "
-                    for term in sp.Add.make_args(e))
+    printer = _ArgumentPrinter(MATH_PRINTER._settings)
+    printer.arguments = {s: f"_a{i}" for i, s in enumerate(symbols)}
+    terms = "".join(f"{printer.doprint(term)}, " for term in sp.Add.make_args(e))
     namespace = dict(vars(math))
-    exec(f"def values({', '.join(map(str, args))}):\n    return ({terms})", namespace)
+    exec(f"def values({', '.join(printer.arguments.values())}):\n    return ({terms})", namespace)
     out = []
     for row in sample_points(symbols, seed):
         for candidate in (row, [abs(c) + 0.125 for c in row]):

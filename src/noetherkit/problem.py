@@ -212,13 +212,6 @@ def load_problem(path) -> Problem:
             for i, m in enumerate(_list(adoc.get("inverse_powers", []), "ansatz.inverse_powers"))
         )
         degree = _integer(adoc.get("spatial_degree", 1), "ansatz.spatial_degree")
-        for i, e in enumerate(inv):
-            # the f span has the monomials of degree <= degree + 1; the time basis multiplies all
-            if ctx.t in e.free_symbols or any((e / p).is_number for p in inv[:i]) or (
-                    e.free_symbols <= set(ctx.xs) and e.is_polynomial(*ctx.xs)
-                    and sp.Poly(e, *ctx.xs).total_degree() <= degree + 1):
-                raise ProblemError(f"ansatz.inverse_powers[{i}]", f"{e} depends on t, or "
-                                   "repeats an earlier entry or a monomial of the spans")
         try:
             ansatz = AnsatzSpec(basis, degree, inv)
         except SolverError as exc:

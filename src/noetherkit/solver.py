@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import sympy as sp
 
@@ -37,7 +37,7 @@ class AnsatzSpec:
     xi_A uses the time basis alone; eta_A^i uses time basis times spatial
     monomials up to spatial_degree; boundary terms f_A go one degree higher.
     include_inverse_powers adds extra spatial monomials (e.g. 1/x) to the
-    eta and f spans.
+    eta and f spans.  ``reduce`` checks that all are independent over QQ.
     """
 
     time_basis: tuple[sp.Expr, ...]
@@ -51,27 +51,8 @@ class AnsatzSpec:
         if self.spatial_degree < 0:
             raise SolverError("spatial degree must be >= 0")
         object.__setattr__(self, "time_basis", basis)
-        object.__setattr__(
-            self,
-            "include_inverse_powers",
-            tuple(sp.sympify(m) for m in self.include_inverse_powers),
-        )
-
-    def check_independent(self, t: sp.Symbol) -> None:
-        """The basis must be independent over QQ, and the only constants in its span over QQ
-        may be its numbers: only numbers are gauge.  Decided in ``_Ring``: a nonzero
-        combination is a constant (such as ln(2*t) - ln(t)) when its derivative is zero."""
-        k = len(self.time_basis)
-        R = _Ring(self.time_basis, (t,))
-        span = R.span(self.time_basis)
-        rank, derivative_rank = (len(R.matrix([e], k).rref()[1]) for e in (span, R.d(span, t)))
-        if rank < k:
-            raise SolverError("time basis functions are not independent")
-        if derivative_rank < k - sum(b.is_number for b in self.time_basis):
-            raise SolverError(
-                "time basis spans a constant that it does not list; write it with 1 in place "
-                'of one element (e.g. ["1", "cos(t)^2"])'
-            )
+        object.__setattr__(self, "include_inverse_powers",
+                           tuple(sp.sympify(m) for m in self.include_inverse_powers))
 
 
 @dataclass(frozen=True)
@@ -123,17 +104,18 @@ def instantiate(L: PerturbedLagrangian, spec: AnsatzSpec) -> Ansatz:
     A boundary function that is a number gets no unknown: a constant boundary
     term is gauge.  The ones left out are counted.
     """
-    ctx = L.ctx
-    free = L.ctx.free_param_symbols()
+    ctx, free = L.ctx, set(L.ctx.free_param_symbols())
     for b in spec.time_basis:
-        bad = b.free_symbols - {ctx.t} - set(free)
-        if bad:
+        if bad := b.free_symbols - {ctx.t} - free:
             raise SolverError(f"time basis element {b} depends on "
                               f"{', '.join(sorted(map(str, bad)))}; it may depend on t only")
-        if b.free_symbols & set(free):
-            raise SolverError(
-                f"time basis element {b} uses symbolic parameters; bind them to numbers"
-            )
+        if b.free_symbols & free:
+            raise SolverError(f"time basis element {b} uses symbolic parameters; "
+                              "bind them to numbers")
+    for i, p in enumerate(spec.include_inverse_powers):
+        if bad := p.free_symbols - set(ctx.xs) - free:
+            raise SolverError(f"ansatz.inverse_powers[{i}]: {p} depends on "
+                              f"{', '.join(sorted(map(str, bad)))}")
     # monomials of total degree <= d in n coordinates: C(n + d, n), counted
     # before any is built
     n, d, extra = ctx.dimension, spec.spatial_degree, len(spec.include_inverse_powers)
@@ -148,7 +130,6 @@ def instantiate(L: PerturbedLagrangian, spec: AnsatzSpec) -> Ansatz:
             f"({n_orders} orders x [{len(spec.time_basis)} time basis x "
             f"(1 xi + {n}x{n_eta} eta + {n_f} f) - {n_numbers} constant f])"
         )
-    spec.check_independent(ctx.t)
     eta_mons = _spatial_monomials(ctx.xs, d, spec.include_inverse_powers)
     f_mons = _spatial_monomials(ctx.xs, d + 1, spec.include_inverse_powers)
 
@@ -208,14 +189,30 @@ def _equations(R: _Ring, ansatz: Ansatz, weights: Sequence) -> tuple:
 
 
 def reduce(ansatz: Ansatz) -> LinearSystem:
-    """Collect each equation over independent atoms, in ``_Ring``.
+    """Check the ansatz, then collect each equation over independent atoms, in one ``_Ring``.
 
-    There the ``residuals`` of derive and verify build the equations, and
-    ``_Ring.rows`` turns each into sparse rows.
+    Every slot's functions are among the f span's T*M, which must be independent over QQ:
+    listed M-major from M = 1, the first dependent one names the time basis or an inverse
+    power.  Only numbers are gauge, so the basis may span no other constant (ln(2*t) -
+    ln(t) has derivative 0).  ``residuals`` builds the equations, ``_Ring.rows`` the rows.
     """
-    L, ctx, n = ansatz.L, ansatz.L.ctx, len(ansatz.unknowns)
+    L, ctx, spec, n = ansatz.L, ansatz.L.ctx, ansatz.spec, len(ansatz.unknowns)
     R = _Ring([e for m, V in L.parts for e in (*sum(m, []), V)]
               + [column.fn for column in ansatz.columns], (ctx.t, *ctx.xs))
+    basis, inverse, k = spec.time_basis, spec.include_inverse_powers, len(spec.time_basis)
+    mons = _spatial_monomials(ctx.xs, spec.spatial_degree + 1, inverse)
+    family = [T * M for M in mons for T in basis]
+    pivots = R.matrix([R.span(family)], len(family)).rref()[1]
+    # the block of the first column that is no pivot, counted from the first inverse power
+    i = next(c for c, p in enumerate((*pivots, None)) if c != p) // k - len(mons) + len(inverse)
+    if i < 0:
+        raise SolverError("time basis functions are not independent")
+    if i < len(inverse):
+        raise SolverError(f"ansatz.inverse_powers[{i}]: {inverse[i]} adds no function to the spans")
+    derivative_rank = len(R.matrix([R.d(R.span(basis), ctx.t)], k).rref()[1])
+    if derivative_rank < k - sum(T.is_number for T in basis):
+        raise SolverError("time basis spans a constant that it does not list; write it with 1 "
+                          'in place of one element (e.g. ["1", "cos(t)^2"])')
     eqs = _equations(R, ansatz, [R.U ** (c + 1) for c in range(n)])
     return LinearSystem(ansatz, R.matrix([eq.lhs for eq in eqs], n), R)
 
@@ -228,14 +225,14 @@ def nullspace(system: LinearSystem) -> SolutionBasis:
     if not null and not ansatz.constants:
         return SolutionBasis((), 0, "no solutions", (), ansatz)
 
-    def sort_key(pair):
-        gen, vec = pair
-        low = gen.lowest_order
-        return (low if low is not None else ansatz.L.order + 1, vec)
+    def lowest_order(vec):
+        """The first order with a nonzero xi or eta coefficient: as the columns are
+        independent, the lowest order of vec's generator."""
+        return min((column.slot[1] for column, c in zip(ansatz.columns, vec)
+                    if c and column.slot[0] != "f"), default=ansatz.L.order + 1)
 
-    paired = sorted(((_generator(ansatz, "", vec), vec) for vec in null), key=sort_key)
-    generators = tuple(replace(g, name=f"S{i}") for i, (g, _) in enumerate(paired))
-    vectors = tuple(v for _, v in paired)
+    vectors = tuple(sorted(null, key=lambda vec: (lowest_order(vec), vec)))
+    generators = tuple(_generator(ansatz, f"S{i}", vec) for i, vec in enumerate(vectors))
     weights = [sum((R.U ** (i + 1) * v[c] for i, v in enumerate(vectors) if v[c]), R.ring.zero)
                for c in range(len(ansatz.columns))]
     failing = [c for eq in _equations(R, ansatz, weights) for row in R.rows(eq.lhs, len(vectors))
@@ -254,21 +251,20 @@ def solve(L: PerturbedLagrangian, spec: AnsatzSpec) -> SolutionBasis:
 # -- span membership ------------------------------------------------------
 
 
-def contains(basis: SolutionBasis,
-             candidates: Sequence[ApproximateGenerator]) -> tuple[bool, ...]:
-    """Exact span membership of each candidate generator, in ``_Ring``.
+def contains(basis: SolutionBasis, candidates: Sequence[ApproximateGenerator],
+             reasons: Optional[dict[int, str]] = None) -> tuple[Optional[bool], ...]:
+    """Exact span membership of each candidate, in ``_Ring``: True, False or None (undecided).
 
-    Unknown j < k weighs solution S_j and unknown k + m candidate X_m, k the
-    number of solutions; each compared slot gives one equation.  X_m is in the
-    span exactly when column k + m of the echelon form of their rows is nonzero
-    only in rows whose pivot is a solution's.  The candidates that give f share
-    one echelon form, and those that leave it free (``X.boundary is None``)
-    another, where only xi and eta are compared.  That decides the same
-    question: a solution with xi = eta = 0 has f_x = f_t = 0, so its f is a
-    constant, which is gauge, and restricted to xi and eta the solutions stay
-    independent.  A constant shift of a given f is gauge too: its part free of
-    t, x and xdot is dropped.  A slot outside the ring's class puts X outside
-    the span; a group that does not lift is decided one candidate at a time.
+    Unknown j < k weighs solution S_j and unknown k + m candidate X_m, k the number of
+    solutions; each compared slot gives one equation.  X_m is in the span exactly when
+    column k + m of the echelon form of their rows is nonzero only in rows whose pivot is a
+    solution's.  The candidates that give f share one echelon form, and those that leave it
+    free (``X.boundary is None``) another, where only xi and eta are compared.  That decides
+    the same question: a solution with xi = eta = 0 has f_x = f_t = 0, so its f is a
+    constant, which is gauge, and restricted to xi and eta the solutions stay independent.
+    A constant shift of a given f is gauge too: its part free of t, x and xdot is dropped.
+    A group that does not lift is decided one candidate at a time: one with a slot outside
+    the ring's class is undecided, and ``reasons``, if given, maps its index to why.
     """
     L, k = basis.ansatz.L, len(basis.generators)
 
@@ -280,8 +276,8 @@ def contains(basis: SolutionBasis,
     for j, X in enumerate(candidates):
         X.check_shape(L)
         groups.setdefault(X.boundary is None, []).append(j)
-    answers = {}
-    for free_f, group in groups.items():
+    answers, work = {}, list(groups.items())
+    for free_f, group in work:
         # one row per generator, then the candidates; one column per compared slot
         table = [slots(S, None if free_f else S.boundary) for S in basis.generators]
         table += [slots(candidates[j], None if free_f else [
@@ -289,11 +285,13 @@ def contains(basis: SolutionBasis,
         try:
             R = _Ring([e for row in table for e in row])
             matrix = R.matrix([R.span(slot) for slot in zip(*table)], len(table))
-        except UnsupportedEquationError:
-            answers.update((j, len(group) > 1 and contains(basis, [candidates[j]])[0])
-                           for j in group)
+        except UnsupportedEquationError as exc:
+            if len(group) > 1:
+                work += [(free_f, [j]) for j in group]
+            elif reasons is not None:
+                reasons[group[0]] = str(exc)
             continue
         echelon, pivots = matrix.rref()
         outside = {c for r, p in enumerate(pivots) if p >= k for c in echelon.get(r, ())}
         answers.update((j, k + m not in outside) for m, j in enumerate(group))
-    return tuple(answers[j] for j in range(len(candidates)))
+    return tuple(answers.get(j) for j in range(len(candidates)))

@@ -186,6 +186,21 @@ class TestSolve:
     def test_missing_ansatz(self):
         assert run("solve", fixture_path("case1.json")) == 2
 
+    @pytest.mark.parametrize("others, code", [([], 3), ([NOT_A_SYMMETRY], 1)])
+    def test_undecided_candidate(self, tmp_path, capsys, others, code):
+        """eta0 = (4t^2+4)^(1/2) - 2(t^2+1)^(1/2) + 1 is d/dx, which verify passes, but
+        the ring has no radicals: undecided with its reason, exit 3 unless another
+        candidate is out of span."""
+        zx = {"name": "Zx", "xi": ["0", "0"],
+              "eta": [["(4*t^2+4)^(1/2) - 2*(t^2+1)^(1/2) + 1"], ["0"]]}
+        problem = fixture_probe(tmp_path, ("candidates",), [zx, *others],
+                                fixture="free_particle.json")
+        got, report = run_report(tmp_path, "solve", problem)
+        assert got == code
+        reason = "non-integer power sqrt(4*t**2 + 4)"
+        assert report["membership"][0] == {"name": "Zx", "in_span": None, "reason": reason}
+        assert f"Zx: undecided ({reason})" in capsys.readouterr().out
+
     def test_candidate_option(self, tmp_path):
         code, report = run_report(tmp_path, "solve", fixture_path("case2_solver.json"),
                                   "--candidate", "Z1")
@@ -739,17 +754,19 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("powers, index", [
         (["x"], 0), (["x^2"], 0), (["2"], 0), (["1/x", "1/x"], 1), (["1/x", "3/x"], 1),
-        (["1/x", "t/x"], 1), (["x+k"], 0),
-    ], ids=["monomial", "f-monomial", "number", "repeat", "multiple", "time", "parameter"])
+        (["1/x", "t/x"], 1), (["x+k"], 0), (["1/x", "(1+x^2)/x"], 1), (["1/x", "1/xdot"], 1),
+    ], ids=["monomial", "f-monomial", "number", "repeat", "multiple", "time", "parameter",
+            "combination", "velocity"])
     def test_inverse_power_without_a_new_direction(self, tmp_path, capsys, powers, index):
         """free_particle with ["x"] used to report 22 generators, 12 of them zero;
-        x+k with k bound to 2 is the polynomial x+2."""
+        x+k with k bound to 2 is the polynomial x+2, and (1+x^2)/x is 1/x + x."""
         problem = fixture_probe(tmp_path, ("ansatz", "inverse_powers"), powers,
                                 fixture="free_particle.json", parameters={"k": 2})
         assert run("solve", problem) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"input error: ansatz.inverse_powers[{index}]: ")
+        assert err.startswith(f"error: ansatz.inverse_powers[{index}]: ")
         assert err.count("\n") == 1
+        assert run("derive", problem) == 0  # only solve reads the ansatz
 
     @pytest.mark.parametrize("command", ["verify", "integrals"])
     def test_no_tolerance_option(self, capsys, command):

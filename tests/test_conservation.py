@@ -185,6 +185,33 @@ class TestSymbolicDrift:
         drift = symbolic_drift(L, comps)
         assert drift.truncation_is_zero
 
+    def test_kinetic_perturbation(self, monkeypatch):
+        """h = diag(1, 2) makes the accelerations rational in eps, so the drift goes
+        through the series branch.  M^-1 = diag(1/(1+eps), 1/(1+2 eps)), so for
+        J = x ydot - y xdot, dJ/dt = x y'' - y x'' = eps (x y - x^3 + 2 x y^2) + O(eps^2)."""
+        from noetherkit import AnsatzSpec, Context, Metric, PerturbedLagrangian, solve
+        ctx = Context(("x", "y"))
+        t, (x, y) = ctx.t, ctx.xs
+        L = PerturbedLagrangian(ctx, Metric.from_rows(ctx, [[1], [0, 1]]),
+                                Metric.from_rows(ctx, [[1], [0, 2]]),
+                                (x**2 + y**2) / 2, x**2 * y, 1)
+        series, calls = sp.series, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "series", spy)
+        basis = solve(L, AnsatzSpec((sp.Integer(1), t), 1))
+        assert len(basis.generators) == 3
+        for X in basis.generators:
+            assert symbolic_drift(L, total_integral(L, X)).truncation_is_zero, X.name
+        rotation = gen("Zrot", (0, 0), ((0, 0), (y, -x)), (0, 0))
+        drift = symbolic_drift(L, total_integral(L, rotation))
+        assert drift.truncation_is_zero
+        assert sp.expand(drift.remainder - (-x**3 + 2 * x * y**2 + x * y)) == 0
+        assert calls
+
     def test_truncation_decided_with_callers_tol_and_seed(self, monkeypatch, henon_heiles):
         """The seed is the caller's and the tolerance is the fixed normal.TOLERANCE: a
         tolerance passed in, by keyword or in the seed's old position, is a TypeError."""

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import sympy as sp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import noetherkit
 from conftest import flat_lagrangian
@@ -282,9 +282,11 @@ def domain_exprs(draw):
 
 class TestProperties:
     @given(domain_exprs(), st.sampled_from([DEFAULT_SEED, 7]))
+    @example(3 * sp.sqrt(t * x) * sp.sqrt(t * x), DEFAULT_SEED)
     @settings(max_examples=60, deadline=None)
     def test_sampled_values_match_lambdify(self, e, seed):
-        """One printed function for all terms samples as one lambdify per term did."""
+        """One printed function for all terms samples as one lambdify per term did; the
+        nested product 3*(t*x) prints with its grouping, as lambdify prints it."""
         assert _sampled_values(e, seed) == lambdified_values(e, seed)
 
 

@@ -102,37 +102,35 @@ class TestAnsatzSpec:
             AnsatzSpec(())
 
     def test_dependent_basis(self, free_particle):
-        t = sp.Symbol("t", real=True)
-        spec = AnsatzSpec((t, 2 * t))
+        t = free_particle.ctx.t
         with pytest.raises(SolverError, match="independent"):
-            spec.check_independent(t)
+            solve(free_particle, AnsatzSpec((t, 2 * t)))
 
-    def test_dependent_trig_basis(self):
-        t = sp.Symbol("t", real=True)
+    def test_dependent_trig_basis(self, free_particle):
+        t = free_particle.ctx.t
         spec = AnsatzSpec((sp.sin(t) ** 2, sp.cos(t) ** 2, sp.Integer(1)))
         with pytest.raises(SolverError, match="independent"):
-            spec.check_independent(t)
+            solve(free_particle, spec)
 
     @pytest.mark.parametrize("basis", [
         ("1", "t", "1 + t"), ("ln(t)", "ln(t^2)"), ("0",), ("t", "0"),
         ("1/t", "1/(1+t)", "1/(t*(t+1))"),
     ])
     def test_collocation_rejects_dependent(self, ctx1, basis):
-        t = ctx1.t
         spec = AnsatzSpec(tuple(parse(b, ctx1) for b in basis))
         with pytest.raises(SolverError, match="not independent"):
-            spec.check_independent(t)
+            solve(flat_lagrangian(ctx1, 0, 0), spec)
 
     @pytest.mark.parametrize("basis", [
         ("1",), ("t^(-1)",), ("1", "t", "t^2", "ln(t)"), ("sin(t)", "cos(t)", "1"), ("t", "t^2"),
     ])
     def test_collocation_accepts_independent(self, ctx1, basis):
-        AnsatzSpec(tuple(parse(b, ctx1) for b in basis)).check_independent(ctx1.t)
+        solve(flat_lagrangian(ctx1, 0, 0), AnsatzSpec(tuple(parse(b, ctx1) for b in basis)))
 
     def test_shipped_eight_element_basis(self):
         problem = load_problem(fixture_path("case2_solver.json"))
         assert len(problem.ansatz.time_basis) == 8
-        problem.ansatz.check_independent(problem.L.ctx.t)
+        solve(problem.L, problem.ansatz)
 
     def test_negative_degree(self):
         t = sp.Symbol("t", real=True)
@@ -166,6 +164,36 @@ class TestFreeParticle:
         small = solve(free_particle, AnsatzSpec((sp.Integer(1), t)))
         large = solve(free_particle, AnsatzSpec((sp.Integer(1), t, t**2)))
         assert contains(large, small.generators) == (True,) * len(small.generators)
+
+
+# 1/x, 1/x^2, x, x^2 and 1: combinations of them may repeat the f span's 1, x, x^2
+INVERSE_TERMS = (-1, -2, 1, 2, 0)
+
+
+class TestInversePowers:
+    @given(st.lists(st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+                    min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_redundant_entry_is_named(self, coeffs):
+        """An entry that adds no function to the spans is named; otherwise no
+        generator is identically zero.  Redundancy is decided here by the rank of
+        x^2 times the f span's monomials (degree <= 2) and the entries."""
+        free_particle = flat_lagrangian(Context(("x",)), 0, 0)
+        t, x = free_particle.ctx.t, free_particle.ctx.xs[0]
+        powers = [sum(c * x**k for c, k in zip(row, INVERSE_TERMS)) for row in coeffs]
+        spec = AnsatzSpec((sp.Integer(1), t, t**2), 1, powers)
+        numerators = [sp.Poly(sp.expand(x**2 * p), x) for p in (1, x, x**2, *powers)]
+        ranks = [sp.Matrix([[q.coeff_monomial(x**k) for k in range(5)] for q in numerators[:m]])
+                 .rank() for m in range(4, len(numerators) + 1)]
+        redundant = next((i for i, r in enumerate(ranks) if r < i + 4), None)
+        if redundant is not None:
+            with pytest.raises(SolverError, match=rf"^ansatz\.inverse_powers\[{redundant}\]: "):
+                solve(free_particle, spec)
+            return
+        basis = solve(free_particle, spec)
+        assert basis.nullspace_dim == 10
+        assert not any(all(o.is_trivial for o in g.orders) and not any(g.boundary)
+                       for g in basis.generators)
 
 
 @pytest.fixture(scope="module")
@@ -491,7 +519,7 @@ class TestMembership:
         gets the one-element answers: one candidate cannot change another's answer."""
         basis, pool, alone = membership_pools[which]
         assert alone[:4] == (True, True, False, False) and alone[7:9] == (True, True)
-        assert alone[-1] is False
+        assert alone[-1] is None
         order = data.draw(st.permutations(range(len(pool) - 1)))
         chosen = order[:data.draw(st.integers(0, len(order)))]
         if data.draw(st.booleans()):
@@ -500,8 +528,8 @@ class TestMembership:
 
     @pytest.mark.parametrize("copies", [1, 4])
     def test_rings_per_solve_and_membership(self, monkeypatch, copies):
-        """The time basis check, reduce (whose ring also checks the solutions) and one
-        ring per f-group: no ring per candidate or per zero test."""
+        """One ring per solve (reduce's, which also checks the ansatz and the solutions)
+        and one per f-group: no ring per candidate or per zero test."""
         p = load_problem(fixture_path("case5.json"))
         rings, init = [], noetherkit.normal._Ring.__init__
 
@@ -511,14 +539,27 @@ class TestMembership:
 
         monkeypatch.setattr(noetherkit.normal._Ring, "__init__", counting)
         basis = solve(p.L, p.ansatz)
+        assert len(rings) == 1
         candidates = [*p.candidates * copies, *map(without_f, p.candidates)]
         assert contains(basis, candidates) == (True,) * len(candidates)
-        assert len(rings) <= 4
+        assert len(rings) == 3
 
     def test_irrational_coefficient(self, free_particle_basis):
         t = free_particle_basis.ansatz.L.ctx.t
         irr = gen("irr", (0, 0), (sp.sqrt(2) * t, 0), (0, 0))
-        assert contains(free_particle_basis, [irr]) == (False,)
+        assert contains(free_particle_basis, [irr]) == (None,)
+
+    def test_undecided_candidate_leaves_its_group_decided(self, free_particle_basis):
+        """(4t^2+4)^(1/2) - 2(t^2+1)^(1/2) + 1 is 1, but the ring has no radicals: Zx is
+        undecided, with the reason, and the in-span candidate in its f-group stays True."""
+        ctx = free_particle_basis.ansatz.L.ctx
+        t = ctx.t
+        one = parse("(4*t^2+4)^(1/2) - 2*(t^2+1)^(1/2) + 1", ctx)
+        zx = ApproximateGenerator("Zx", (GeneratorOrder(0, (one,)), GeneratorOrder(0, (0,))))
+        zt = ApproximateGenerator("Zt", (GeneratorOrder(1, (0,)), GeneratorOrder(0, (0,))))
+        reasons = {}
+        assert contains(free_particle_basis, [zx, zt], reasons) == (None, True)
+        assert list(reasons) == [0] and reasons[0].startswith("non-integer power")
 
     def test_outside_the_ansatz(self, free_particle_basis):
         ctx = free_particle_basis.ansatz.L.ctx
