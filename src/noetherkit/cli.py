@@ -21,8 +21,8 @@ from .conditions import (
     verify,
 )
 from .conservation import total_integral
-from .dynamics import (IntegrationError, SymbolicParameterError, drift, evaluate_integral,
-                       fit_slope, integrate, require_numeric, write_csv)
+from .dynamics import (IntegrationError, SymbolicParameterError, UnsupportedFunctionError,
+                       drift, fit_slope, integrate, require_numeric, write_csv)
 from .geometry import GeometryError, solve_homothetic
 from .normal import DEFAULT_SEED
 from .parsing import print_expression
@@ -229,14 +229,11 @@ def cmd_simulate(problem: Problem, args) -> tuple[dict, int]:
     records = []
     by_integral = {name: [] for name in integrals}
     for k, eps in enumerate(epsilons):
-        traj = integrate(problem.L, sim.initial, sim.t_end, sim.dt, eps, sim.t_start)
-        columns = {}  # each law's values along traj, kept only for a CSV
+        # each law is evaluated inside the RK4 loop; rows are kept only for a CSV
+        traj = integrate(problem.L, sim.initial, sim.t_end, sim.dt, eps, sim.t_start,
+                         laws=list(integrals.values()), store=bool(args.csv))
         for name, comps in integrals.items():
-            values = evaluate_integral(problem.L, comps, traj)
-            rec = drift(problem.L, values, traj, name)
-            if args.csv:
-                columns[name] = values
-            del values  # not held over the next evaluation, which would raise peak memory
+            rec = drift(problem.L, comps, traj, name)
             by_integral[name].append(rec)
             records.append({
                 "integral": name,
@@ -250,7 +247,7 @@ def cmd_simulate(problem: Problem, args) -> tuple[dict, int]:
             path = Path(args.csv)
             if len(epsilons) > 1:
                 path = path.with_name(f"{path.stem}_{k}{path.suffix}")
-            write_csv(path, problem.L, traj, columns)
+            write_csv(path, problem.L, traj, integrals)
             print(f"wrote {path}")
     scalings = []
     if len(epsilons) >= 2:
@@ -314,7 +311,7 @@ def main(argv=None) -> int:
     except ProblemError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (UnsupportedEquationError, SymbolicParameterError) as exc:
+    except (UnsupportedEquationError, SymbolicParameterError, UnsupportedFunctionError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except CheckFailed as exc:

@@ -14,6 +14,7 @@ import noetherkit.dynamics
 import noetherkit.geometry
 from noetherkit import fixture_path, load_problem, noether_residuals
 from noetherkit.cli import main
+from noetherkit.conservation import FirstIntegral
 from noetherkit.context import RESERVED
 from noetherkit.parsing import FUNCTIONS, parse, print_expression
 from noetherkit.solver import solve
@@ -451,20 +452,21 @@ class TestSimulate:
             assert len(lines) == 4002
 
     def test_csv_evaluates_each_integral_once(self, tmp_path, sim_problem, monkeypatch):
-        """The drift and the CSV column of an integral share one evaluation per trajectory."""
+        """Each law is printed once per trajectory, into the RK4 kernel, for its drift
+        and its CSV column alike."""
         calls = collections.Counter()
-        original = noetherkit.dynamics.evaluate_integral
+        original = FirstIntegral.folded
 
-        def counted(L, integrals, traj):
-            calls[(tuple(integrals), traj.epsilon)] += 1
-            return original(L, integrals, traj)
+        def counted(I):
+            calls[I.source, I.epsilon_power] += 1
+            return original(I)
 
-        monkeypatch.setattr(noetherkit.dynamics, "evaluate_integral", counted)
-        monkeypatch.setattr(noetherkit.cli, "evaluate_integral", counted)
-        assert run("simulate", sim_problem, "--csv", tmp_path / "traj.csv") == 0
-        # one integral (Zrot) on two trajectories
-        assert sorted(eps for _, eps in calls) == [0.01, 0.02]
-        assert set(calls.values()) == {1}
+        monkeypatch.setattr(FirstIntegral, "folded", counted)
+        for csv in ([], ["--csv", tmp_path / "traj.csv"]):
+            calls.clear()
+            assert run("simulate", sim_problem, *csv) == 0
+            # one law (Zrot) of two components on two trajectories
+            assert calls == {("Zrot", 0): 2, ("Zrot", 1): 2}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("epsilons, excluded", [
@@ -584,6 +586,26 @@ class TestSimulate:
         assert err.startswith("error: non-finite input")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("G, code, err", [
+        ("exp(t^2)", 3,
+         "unsupported: I[Zx] holds erfi, which simulate cannot evaluate in floats\n"),
+        ("exp(-t^2)", 0, ""),
+        ("exp(sin(t))", 3,
+         "unsupported: I[Zx] holds Integral, which simulate cannot evaluate in floats\n"),
+    ])
+    def test_law_outside_math(self, tmp_path, capsys, G, code, err):
+        """The boundary term of Zx is the integral of G: sqrt(pi)*erfi(t)/2, which math
+        lacks, sqrt(pi)*erf(t)/2, which it has, or an unevaluated Integral."""
+        doc = {"coordinates": ["x"], "metric": [["1"]], "V0": f"-x*{G}", "V1": "0",
+               "order": 1, "candidates": [{"name": "Zx", "xi": ["0", "0"],
+                                           "eta": [["1"], ["0"]]}],
+               "simulation": {"initial": [1.0, 0.0], "t_end": 0.5, "dt": 0.01,
+                              "epsilons": [0.1, 0.05]}}
+        problem = tmp_path / "probe.json"
+        problem.write_text(json.dumps(doc))
+        assert run("simulate", problem) == code
+        assert capsys.readouterr().err == err
+
 
 def renamed_oscillator(tmp_path, name, parameters=None):
     """A short oscillator run with an exp and ln perturbation, its coordinate called ``name``."""
@@ -602,10 +624,12 @@ def renamed_oscillator(tmp_path, name, parameters=None):
 
 
 # names the generated step must keep apart from its own locals (which start with
-# "_") and from the names the printers emit ("log" and "sqrt" through math,
-# "numpy" in the integrals); the grammar can reference each of the first ones
+# "_"), from the names the printers emit ("log" and "sqrt" through math,
+# "numpy" in the integrals) and from the builtins it calls; the grammar can
+# reference each of the first ones
 SAFE_NAMES = ["_s0", "_k0", "_dt", "_h", "_t", "__y1", "s0", "k1", "h", "dt", "th", "step",
-              "xdotdot", "out", "components", "sinx", "E", "match"]
+              "xdotdot", "out", "components", "sinx", "E", "match", "range", "next",
+              "ValueError"]
 # Python keywords, names the grammar cannot reference, and printed names
 REJECTED_NAMES = ["lambda", "None", "if", "x y", "1x", "x-y", "", "\u03be", "sin", "cos", "exp",
                   "ln", "log", "sqrt", "e", "pi", "math", "numpy"]

@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import sympy as sp
 import pytest
-from hypothesis import given, settings, strategies as st
-from sympy.printing.numpy import NumPyPrinter
+from hypothesis import example, given, settings, strategies as st
 
 from noetherkit import (
     ApproximateGenerator,
@@ -23,12 +22,10 @@ from noetherkit import (
 from noetherkit import dynamics
 from noetherkit.conservation import EPSILON, FirstIntegral, accelerations
 from noetherkit.dynamics import (
-    BLOCK_ROWS,
     DriftRecord,
     IntegrationError,
     Trajectory,
     drift,
-    evaluate_integral,
     fit_slope,
     integrate,
     scaling_exponent,
@@ -84,17 +81,39 @@ def reference_rk4(L, initial, t_end, dt, epsilon=0.0, t_start=0.0):
     return np.array(times), np.array(states)
 
 
-def reference_values(L, integrals, traj):
-    """Per-point math evaluation of the folded sum of the components."""
+def reference_values(L, integrals, epsilon, rows):
+    """Per-point math evaluation of the folded sum of the components at each (t, state)
+    row: 0.0 plus each component in order, or None where that raises or is not finite."""
     ctx = L.ctx
     args = (ctx.t, *ctx.xs, *ctx.vs)
-    eps = sp.Rational(str(traj.epsilon))
+    eps = sp.Rational(str(epsilon))
     fns = [sp.lambdify(args, I.folded().subs(EPSILON, eps), modules=["math"])
            for I in integrals]
-    return np.array([
-        sum(fn(float(t), *map(float, state)) for fn in fns)
-        for t, state in zip(traj.times, traj.states)
-    ])
+    out = []
+    for t, state in rows:
+        try:
+            value = 0.0
+            for fn in fns:
+                value = value + fn(float(t), *map(float, state))
+            out.append(value if math.isfinite(value) else None)
+        except (ValueError, ZeroDivisionError, OverflowError, TypeError):
+            out.append(None)
+    return out
+
+
+def law_values(traj, law):
+    """The stored values of one law of traj."""
+    j = list(traj.laws).index(tuple(law))
+    return np.asarray(traj.values)[:, j]
+
+
+def states_view(states):
+    """A (rows, columns) memoryview of doubles, as a stored Trajectory holds."""
+    return memoryview(np.ascontiguousarray(states, dtype=float))
+
+
+def bits(value):
+    return float(value).hex()
 
 
 def reference_failure(L, initial, t_end, dt, epsilon=0.0, t_start=0.0):
@@ -110,20 +129,6 @@ def reference_failure(L, initial, t_end, dt, epsilon=0.0, t_start=0.0):
     except OverflowError as exc:
         return f"step {k} at t={t_prev}: {exc}; state={state_prev}"
     raise AssertionError("the reference run stays finite")
-
-
-def reference_numpy_values(L, integrals, traj):
-    """The folded sum as evaluate_integral computed it with lambdify and NumPyPrinter."""
-    ctx = L.ctx
-    args = (ctx.t, *ctx.xs, *ctx.vs)
-    eps = sp.Rational(str(traj.epsilon))
-    out = np.zeros(len(traj.times))
-    with np.errstate(all="ignore"):
-        for I in integrals:
-            fn = sp.lambdify(args, I.folded().subs(EPSILON, eps),
-                             modules=[{"numpy": np}], printer=NumPyPrinter)
-            out = out + fn(traj.times, *traj.states.T)
-    return out
 
 
 def curved_three_body():
@@ -192,9 +197,9 @@ class TestIntegrate:
         initial = [0.1, 0.1, 0.0, 0.0]
         fwd = integrate(henon_heiles, initial, 10.0, 1e-3, epsilon=0.01)
         back = integrate(
-            henon_heiles, fwd.states[-1], 0.0, -1e-3, epsilon=0.01, t_start=10.0
+            henon_heiles, np.asarray(fwd.states)[-1], 0.0, -1e-3, epsilon=0.01, t_start=10.0
         )
-        assert np.max(np.abs(back.states[-1] - np.array(initial))) < 1e-8
+        assert np.max(np.abs(np.asarray(back.states)[-1] - np.array(initial))) < 1e-8
 
     def test_bad_dt(self, oscillator):
         with pytest.raises(IntegrationError):
@@ -237,12 +242,12 @@ class TestIntegrate:
         L = flat_lagrangian(ctx, 0, 0)
         traj = integrate(L, [1.7e308, 1.7e308, 1.0, 1.0], 1.0, 0.5)
         assert np.isfinite(traj.states).all()
-        assert not math.isfinite(sum(traj.states[-1].tolist()))
+        assert not math.isfinite(sum(np.asarray(traj.states)[-1].tolist()))
 
     def test_deterministic(self, oscillator):
         a = integrate(oscillator, [1.0, 0.0], 5.0, 1e-2)
         b = integrate(oscillator, [1.0, 0.0], 5.0, 1e-2)
-        assert (a.states == b.states).all()
+        assert np.array_equal(a.states, b.states)
 
 
 class TestStraightLineStep:
@@ -263,8 +268,8 @@ class TestStraightLineStep:
         traj = integrate(L, *run, **kwargs)
         times, states = reference_rk4(L, *run, **kwargs)
         assert traj.states.shape == states.shape
-        assert (traj.times == times).all()
-        assert (traj.states == states).all()
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
 
     @pytest.mark.parametrize("field", ["t_start", "t_end", "dt", "epsilon", "initial"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -300,6 +305,54 @@ def rk4_runs(draw):
     t_start = draw(st.sampled_from([0.0, 0.5, -1.25]))
     epsilon = draw(st.floats(-1, 1))
     return L, initial, t_start + steps * dt, dt, epsilon, t_start
+
+
+def law_terms(ctx):
+    """Law components along rk4_runs' trajectories: polynomials, sin, cos, exp and ln,
+    shared subexpressions, and some that raise or turn non-finite on the way (ln and
+    sqrt of a coordinate that changes sign, 1/x, exp of a large argument, and a product
+    that overflows to inf without raising)."""
+    t, (x, y), (u, w) = ctx.t, ctx.xs, ctx.vs
+    return [x * y + u**2, t * x**2 - 3 * w, sp.sin(t) * x + sp.cos(y) * w**2,
+            sp.exp(x / 3) * u - sp.sin(t), sp.log(2 + y**2) * sp.sin(t)**2, sp.Integer(3),
+            sp.log(x), sp.sqrt(y) * sp.sin(t), 1 / x, sp.exp(300 * x**2),
+            (2 + x)**600 * (2 + y)**600]
+
+
+@st.composite
+def law_runs(draw):
+    """An rk4_runs() run and two laws, each 1 to 3 components of law_terms at epsilon
+    powers 0 to 2."""
+    run = draw(rk4_runs())
+    terms = law_terms(run[0].ctx)
+    laws = []
+    for name in ("A", "B"):
+        picks = draw(st.lists(st.tuples(st.sampled_from(terms), st.integers(0, 2)),
+                              min_size=1, max_size=3))
+        laws.append([FirstIntegral(k, e, name, p) for k, (e, p) in enumerate(picks)])
+    return (*run, laws)
+
+
+def henon_heiles_run():
+    """Over 12305 points, components with sin, cos, exp, log and sqrt."""
+    ctx = Context(("x", "y"))
+    t, (x, y), (u, w) = ctx.t, ctx.xs, ctx.vs
+    L = flat_lagrangian(ctx, (x**2 + y**2) / 2, x**2 * y - y**3 / 3)
+    law = [FirstIntegral(0, sp.sin(t) * x * u + sp.cos(y) * w**2 - sp.sqrt(1 + u**2), "I", 0),
+           FirstIntegral(1, sp.exp(t / 10) * x**2 + sp.log(2 + y) * u**2, "I", 1)]
+    return L, [0.4, 0.3, 0.0, 0.1], 12.304, 1e-3, 0.2, 0.0, [law]
+
+
+def oscillator_lagrangian():
+    ctx = Context(("x",))
+    return flat_lagrangian(ctx, ctx.xs[0]**2 / 2, 0)
+
+
+def oscillator_ln_run():
+    """ln x along the oscillator, which is not finite from the first x <= 0 on."""
+    L = oscillator_lagrangian()
+    law = [FirstIntegral(0, sp.log(L.ctx.xs[0]), "ln", 0)]
+    return L, [1.0, 0.0], 3.0, 1e-2, 0.0, 0.0, [law]
 
 
 class TestKernel:
@@ -340,10 +393,57 @@ class TestKernel:
         assert str(info.value) == reference_failure(L, *run)
         assert not str(info.value).startswith(("step 0 ", "non-finite state at step 1,"))
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=law_runs())
+    @example(case=henon_heiles_run())
+    @example(case=oscillator_ln_run())
+    def test_laws_match_reference_values(self, case):
+        """Each law's record, from the kernel and from the stored rows alike, is
+        max |v - v0| and v[-1] - v0 of reference_values over reference_rk4's rows to the
+        bit, and the stored values are v; or the run raises what a plain loop raises: the
+        RK4 failure first, else each failing law its first bad time."""
+        L, initial, t_end, dt, epsilon, t_start, laws = case
+        try:
+            rows = list(reference_rows(L, initial, t_end, dt, epsilon, t_start))
+            finite = all(math.isfinite(v) for _, state in rows for v in state)
+        except OverflowError:
+            finite = False
+        if not finite:
+            with pytest.raises(IntegrationError) as info:
+                integrate(L, initial, t_end, dt, epsilon, t_start, laws=laws, store=False)
+            assert str(info.value) == reference_failure(L, initial, t_end, dt, epsilon,
+                                                         t_start)
+            return
+        kernel = integrate(L, initial, t_end, dt, epsilon, t_start, laws=laws, store=False)
+        kept = integrate(L, initial, t_end, dt, epsilon, t_start, laws=laws)
+        plain = integrate(L, initial, t_end, dt, epsilon, t_start)
+        assert kernel.states is None and plain.laws == {}
+        for law in laws:
+            values = reference_values(L, law, epsilon, rows)
+            assert [bits(v) for v in law_values(kept, law)] == [
+                bits(math.nan if v is None else v) for v in values]
+            bad = next((t for (t, _), v in zip(rows, values) if v is None), None)
+            for traj in (kernel, kept, plain):
+                if bad is not None:
+                    with pytest.raises(IntegrationError) as info:
+                        drift(L, law, traj)
+                    assert str(info.value) == \
+                        f"integral evaluation failed at t={bad}: non-finite value"
+                    continue
+                record = drift(L, law, traj)
+                assert bits(record.max_abs_drift) == bits(max(abs(v - values[0])
+                                                              for v in values))
+                assert bits(record.final_drift) == bits(values[-1] - values[0])
+
+
+def traj_rows(traj):
+    """(t, state) at each time of a stored trajectory."""
+    return list(zip(traj.times, np.asarray(traj.states)))
+
 
 class TestBitIdentity:
-    """On the shipped simulations at 2% of t_end, every epsilon: integrate
-    equals reference_rk4 and evaluate_integral the lambdified numpy sum."""
+    """On the shipped simulations at 2% of t_end, every epsilon: integrate equals
+    reference_rk4, and each law's values the lambdified math sum, bit for bit."""
 
     @pytest.mark.parametrize("fixture", ["case4", "oscillator"])
     def test_fixture(self, fixture):
@@ -353,108 +453,87 @@ class TestBitIdentity:
         laws = [total_integral(L, X, assume_verified=True)
                 for X in problem.candidates if not X.quarantined]
         for eps in sim.epsilons:
-            traj = integrate(L, sim.initial, t_end, sim.dt, eps, sim.t_start)
+            traj = integrate(L, sim.initial, t_end, sim.dt, eps, sim.t_start, laws=laws)
             times, states = reference_rk4(L, sim.initial, t_end, sim.dt, eps, sim.t_start)
             assert np.array_equal(traj.times, times)
             assert np.array_equal(traj.states, states)
             for law in laws:
-                assert np.array_equal(evaluate_integral(L, law, traj),
-                                      reference_numpy_values(L, law, traj))
+                values = reference_values(L, law, eps, zip(times, states))
+                assert [bits(v) for v in law_values(traj, law)] == [bits(v) for v in values]
 
 
 class TestEvaluateIntegral:
-    def within_ulps(self, values, reference, ulps=4):
-        return np.all(np.abs(values - reference) <= ulps * np.spacing(np.abs(reference)))
-
     def test_phase_invariant(self, oscillator):
         t, x, v = oscillator.ctx.t, oscillator.ctx.xs[0], oscillator.ctx.vs[0]
         J = [FirstIntegral(0, v * sp.cos(t) + x * sp.sin(t), "J", 0)]
-        traj = integrate(oscillator, [1.0, 0.0], 20.0, 1e-2)
-        values = evaluate_integral(oscillator, J, traj)
-        assert values.shape == traj.times.shape
-        assert self.within_ulps(values, reference_values(oscillator, J, traj))
+        traj = integrate(oscillator, [1.0, 0.0], 20.0, 1e-2, laws=[J])
+        values = law_values(traj, J)
+        assert values.shape == (len(traj.times),)
+        assert values.tolist() == reference_values(oscillator, J, 0.0, traj_rows(traj))
 
     def test_exp_ln_sqrt_components(self, henon_heiles):
-        # positive terms: numpy's exp and log may differ from math's by an
-        # ulp, which cancellation between terms would magnify
         ctx = henon_heiles.ctx
         t, (x, y), (u, w) = ctx.t, ctx.xs, ctx.vs
         comps = [
             FirstIntegral(0, sp.exp(t / 10) * x**2 + sp.log(2 + y) * u**2, "I", 0),
             FirstIntegral(1, sp.sqrt(1 + w**2) + x**2 * y**2 / 3, "I", 1),
         ]
-        traj = integrate(henon_heiles, [0.4, 0.3, 0.0, 0.1], 10.0, 1e-2, epsilon=0.2)
-        values = evaluate_integral(henon_heiles, comps, traj)
-        assert self.within_ulps(values, reference_values(henon_heiles, comps, traj))
+        traj = integrate(henon_heiles, [0.4, 0.3, 0.0, 0.1], 10.0, 1e-2, epsilon=0.2,
+                         laws=[comps])
+        assert law_values(traj, comps).tolist() == reference_values(
+            henon_heiles, comps, 0.2, traj_rows(traj))
 
     def test_constant_integral_full_length(self, oscillator):
-        traj = integrate(oscillator, [1.0, 0.0], 1.0, 0.1, epsilon=0.5)
         c = [FirstIntegral(1, sp.Integer(3), "c", 1)]
-        values = evaluate_integral(oscillator, c, traj)
-        assert values.shape == traj.times.shape
+        traj = integrate(oscillator, [1.0, 0.0], 1.0, 0.1, epsilon=0.5, laws=[c])
+        values = law_values(traj, c)
+        assert values.shape == (len(traj.times),)
         assert (values == 1.5).all()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_value_names_first_time(self, oscillator):
         x = oscillator.ctx.xs[0]
-        traj = integrate(oscillator, [1.0, 0.0], 3.0, 1e-2)
         bad = [FirstIntegral(0, sp.log(x), "ln", 0)]
-        first = traj.times[np.argmax(traj.states[:, 0] <= 0)]
-        with pytest.raises(IntegrationError, match=f"t={first}"):
-            evaluate_integral(oscillator, bad, traj)
+        traj = integrate(oscillator, [1.0, 0.0], 3.0, 1e-2, laws=[bad])
+        first = traj.times[int(np.argmax(np.asarray(traj.states)[:, 0] <= 0))]
+        for run in (traj, integrate(oscillator, [1.0, 0.0], 3.0, 1e-2)):
+            with pytest.raises(IntegrationError) as info:
+                drift(oscillator, bad, run)
+            assert str(info.value) == f"integral evaluation failed at t={first}: non-finite value"
 
 
 class TestBlockedEvaluation:
-    def test_matches_whole_array_numpy(self, henon_heiles):
-        """Over three blocks and a part of one, every value equals the sum evaluated on
-        the whole trajectory at once."""
-        ctx = henon_heiles.ctx
-        t, (x, y), (u, w) = ctx.t, ctx.xs, ctx.vs
-        comps = [
-            FirstIntegral(0, sp.sin(t) * x * u + sp.cos(y) * w**2 - sp.sqrt(1 + u**2), "I", 0),
-            FirstIntegral(1, sp.exp(t / 10) * x**2 + sp.log(2 + y) * u**2, "I", 1),
-        ]
-        steps = 3 * BLOCK_ROWS + 16
-        traj = integrate(henon_heiles, [0.4, 0.3, 0.0, 0.1], steps / 1000, 1e-3, epsilon=0.2)
-        assert len(traj.times) == 3 * BLOCK_ROWS + 17
-        assert np.array_equal(evaluate_integral(henon_heiles, comps, traj),
-                              reference_numpy_values(henon_heiles, comps, traj))
+    """The law block: the code that evaluates the laws at each time, inside the RK4
+    loop or over the stored rows."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_value_names_first_time_across_blocks(self, oscillator, monkeypatch):
-        monkeypatch.setattr(dynamics, "BLOCK_ROWS", 7)
+    def test_constant_component_in_every_block(self, oscillator):
         x = oscillator.ctx.xs[0]
-        traj = integrate(oscillator, [1.0, 0.0], 3.0, 1e-2)
-        first = traj.times[np.argmax(traj.states[:, 0] <= 0)]
-        assert np.argmax(traj.states[:, 0] <= 0) > 7
-        with pytest.raises(IntegrationError) as info:
-            evaluate_integral(oscillator, [FirstIntegral(0, sp.log(x), "ln", 0)], traj)
-        assert str(info.value) == f"integral evaluation failed at t={first}: non-finite value"
-
-    def test_constant_component_in_every_block(self, oscillator, monkeypatch):
-        monkeypatch.setattr(dynamics, "BLOCK_ROWS", 4)
-        x = oscillator.ctx.xs[0]
-        traj = integrate(oscillator, [1.0, 0.0], 1.0, 0.1, epsilon=0.5)
         comps = [FirstIntegral(0, x, "c", 0), FirstIntegral(1, sp.Integer(3), "c", 1)]
-        assert np.array_equal(evaluate_integral(oscillator, comps, traj),
-                              reference_numpy_values(oscillator, comps, traj))
+        traj = integrate(oscillator, [1.0, 0.0], 1.0, 0.1, epsilon=0.5, laws=[comps])
+        assert law_values(traj, comps).tolist() == reference_values(
+            oscillator, comps, 0.5, traj_rows(traj))
+        plain = integrate(oscillator, [1.0, 0.0], 1.0, 0.1, epsilon=0.5)
+        assert drift(oscillator, comps, traj) == drift(oscillator, comps, plain)
 
     def test_memory_bounded_by_the_output(self, oscillator):
-        """Beyond its output, evaluation holds a few arrays of one block at a time."""
-        times = np.linspace(0.0, 100.0, 10**5)
-        traj = Trajectory(times, np.column_stack([np.cos(times), -np.sin(times)]), 0.0)
+        """With the laws folded into the kernel and no rows stored, a run of 10^5 steps
+        peaks within a few KB of a run of 10^4 steps."""
         t, x, v = oscillator.ctx.t, oscillator.ctx.xs[0], oscillator.ctx.vs[0]
-        law = [FirstIntegral(0, v * sp.cos(t) + x * sp.sin(t), "J", 0),
-               FirstIntegral(0, sp.exp(-t / 50) * x**2 / 2 + sp.sqrt(1 + v**2), "E", 0)]
-        evaluate_integral(oscillator, law, traj)  # sympy's caches are filled once
-        tracemalloc.start()
-        try:
-            values = evaluate_integral(oscillator, law, traj)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert values.nbytes == 8 * 10**5
-        assert peak < values.nbytes + 8 * (8 * BLOCK_ROWS)
+        laws = [[FirstIntegral(0, v * sp.cos(t) + x * sp.sin(t), "J", 0)],
+                [FirstIntegral(0, sp.exp(-t / 50) * x**2 / 2 + sp.sqrt(1 + v**2), "E", 0)]]
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                traj = integrate(oscillator, [1.0, 0.0], steps * 1e-3, 1e-3, laws=laws,
+                                 store=False)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert traj.states is None and len(traj.times) == steps + 1
+            return peak
+
+        peak(10**3)  # sympy's caches are filled once
+        assert peak(10**5) < peak(10**4) + 4096
 
 
 class TestDriftFormula:
@@ -463,12 +542,14 @@ class TestDriftFormula:
                     | st.floats(-1e300, 1e300), min_size=1, max_size=30))
     def test_equals_max_of_absolute_deltas(self, values):
         """max(|vmax - v0|, |vmin - v0|) is max |v - v0| to the bit, ties and signed
-        zeros included."""
-        v = np.array(values)
-        traj = Trajectory(np.arange(len(v), dtype=float), np.zeros((len(v), 2)), 0.1)
-        record = drift(None, v, traj, "I")  # values given: the Lagrangian is not read
-        assert np.float64(record.max_abs_drift).tobytes() == np.max(np.abs(v - v[0])).tobytes()
-        assert np.float64(record.final_drift).tobytes() == (v[-1] - v[0]).tobytes()
+        zeros included: the law x over stored states whose x column holds the values."""
+        L = oscillator_lagrangian()
+        traj = Trajectory([float(k) for k in range(len(values))],
+                          states_view(np.column_stack([values, np.zeros(len(values))])), 0.1)
+        record = drift(L, FirstIntegral(0, L.ctx.xs[0], "I", 0), traj)
+        v = [0.0 + a for a in values]  # the law's value: 0.0 plus its component
+        assert bits(record.max_abs_drift) == bits(max(abs(a - v[0]) for a in v))
+        assert bits(record.final_drift) == bits(v[-1] - v[0])
 
 
 class TestScaling:
@@ -545,27 +626,24 @@ class TestScaling:
 
 class TestCsv:
     def test_header_and_precision(self, oscillator, tmp_path):
-        traj = integrate(oscillator, [1.0, 0.0], 1.0, 0.25)
+        energy = [energy_integral(oscillator)]
+        traj = integrate(oscillator, [1.0, 0.0], 1.0, 0.25, laws=[energy])
         path = tmp_path / "traj.csv"
-        energy = evaluate_integral(oscillator, [energy_integral(oscillator)], traj)
         write_csv(path, oscillator, traj, {"energy": energy})
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x1,v1,energy"
         assert len(lines) == len(traj.times) + 1
         # 17 significant digits round-trip through float exactly
-        for line, t, state in zip(lines[1:], traj.times, traj.states):
-            fields = [float(v) for v in line.split(",")]
-            assert fields[0] == t
-            assert fields[1] == state[0]
-            assert fields[2] == state[1]
+        for line, (t, state), value in zip(lines[1:], traj_rows(traj),
+                                           law_values(traj, energy)):
+            assert [float(v) for v in line.split(",")] == [t, state[0], state[1], value]
 
-    def test_rows_match_per_value_format(self, oscillator, tmp_path, monkeypatch):
-        """Byte-identical to formatting each value with f"{v:.17g}", across
-        block boundaries and for signed zeros, subnormals and large values."""
-        monkeypatch.setattr(dynamics, "BLOCK_ROWS", 3)
+    def test_rows_match_per_value_format(self, oscillator, tmp_path):
+        """Byte-identical to formatting each value with f"{v:.17g}", for signed zeros,
+        subnormals and large values."""
         times = np.array([0.0, -0.0, 1 / 3, 5e-324, 1e22, 2.5, 1e-7])
         states = np.column_stack([times[::-1] * 7, -times / 3])
-        traj = Trajectory(times, states, 0.1)
+        traj = Trajectory(times.tolist(), states_view(states), 0.1)
         path = tmp_path / "traj.csv"
         write_csv(path, oscillator, traj)
         expected = "t,x1,v1\n" + "".join(

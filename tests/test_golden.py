@@ -1,11 +1,13 @@
 """Golden outputs of ``derive``, ``verify``, ``solve``, ``integrals`` and
-``killing`` on every shipped fixture.
+``killing`` on every shipped fixture, and of ``simulate`` on the shipped
+oscillator and case4 runs.
 
 Each file under ``tests/golden/`` holds one run: its arguments, exit code,
 stdout, stderr and ``--report`` (without the path-dependent ``problem``
 field).  A refactor meant to leave outputs unchanged must reproduce them
-byte for byte.  ``simulate`` is left out: numpy's vectorised exp and log
-make its drift floats depend on the host.  After an intended output
+byte for byte.  The drift floats of ``simulate`` are computed with the C
+library's ``math`` functions, as its trajectories are, so they hold on
+hosts whose libm rounds as this one's does.  After an intended output
 change, regenerate them with
 
     python tests/test_golden.py
@@ -28,6 +30,8 @@ RUNS = [
     *((command, f) for command in ("derive", "verify", "solve", "integrals", "killing")
       for f in FIXTURES),
     ("killing", "ndim.json", "--degree", "2"),
+    ("simulate", "oscillator.json"),
+    ("simulate", "case4.json"),
 ]
 
 

@@ -90,17 +90,30 @@ def test_no_lapack():
     assert found == []
 
 
+def test_no_numpy():
+    """The laws are evaluated in the RK4 kernel's scalar code, so no module names numpy."""
+    assert "numpy" in imported_modules("from numpy import isfinite\n")
+    assert "numpy" in names_used("import sympy as sp\nsp.printing.numpy.NumPyPrinter\n")
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "numpy" in {m.split(".")[0] for m in imported_modules(path.read_text())}
+             | names_used(path.read_text())]
+    assert found == []
+
+
 def test_import_leaves_numpy_out():
-    """numpy loads with simulate's module, not with the package."""
+    """No command loads numpy: the command line's import and a simulate run leave it out."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = ("import sys, noetherkit\n"
+    code = ("import contextlib, io, sys, noetherkit, noetherkit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = noetherkit.cli.main(['simulate', sys.argv[1], '--epsilon', '0.1'])\n"
             "print(noetherkit.__file__)\n"
-            "print(sorted({'numpy', 'noetherkit.dynamics'} & set(sys.modules)))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.splitlines()
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    oscillator = PACKAGE / "fixtures" / "oscillator.json"
+    out = subprocess.run([sys.executable, "-c", code, str(oscillator)], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
     assert Path(out[0]).parent == PACKAGE
-    assert out[1] == "[]"
+    assert out[1] == "0 []"
 
 
 def test_no_tolerance_option():
