@@ -101,6 +101,21 @@ def reference_values(L, integrals, epsilon, rows):
     return out
 
 
+def reference_numpy_values(L, integrals, traj):
+    """The folded sum evaluated with numpy over a stored trajectory's whole arrays at
+    once: 0.0 plus each component in order."""
+    ctx = L.ctx
+    args = (ctx.t, *ctx.xs, *ctx.vs)
+    eps = sp.Rational(str(traj.epsilon))
+    times, states = np.asarray(traj.times), np.asarray(traj.states)
+    out = np.zeros(len(times))
+    with np.errstate(all="ignore"):
+        for I in integrals:
+            fn = sp.lambdify(args, I.folded().subs(EPSILON, eps), modules="numpy")
+            out = out + fn(times, *states.T)
+    return out
+
+
 def law_values(traj, law):
     """The stored values of one law of traj."""
     j = list(traj.laws).index(tuple(law))
@@ -504,6 +519,50 @@ class TestEvaluateIntegral:
 class TestBlockedEvaluation:
     """The law block: the code that evaluates the laws at each time, inside the RK4
     loop or over the stored rows."""
+
+    def test_matches_whole_array_numpy(self, henon_heiles):
+        """Over 12305 rows, every value the law block keeps equals the per-point math sum
+        to the bit and lies within one ulp of the sum evaluated with numpy on the whole
+        trajectory at once (numpy's vectorised sin, cos, exp and log may round a last bit
+        apart from libm's); drift over the stored rows is the drift the kernel read off
+        the run."""
+        ctx = henon_heiles.ctx
+        t, (x, y), (u, w) = ctx.t, ctx.xs, ctx.vs
+        comps = [
+            FirstIntegral(0, sp.sin(t) * x * u + sp.cos(y) * w**2 - sp.sqrt(1 + u**2), "I", 0),
+            FirstIntegral(1, sp.exp(t / 10) * x**2 + sp.log(2 + y) * u**2, "I", 1),
+        ]
+        run = ([0.4, 0.3, 0.0, 0.1], 12.304, 1e-3, 0.2)
+        traj = integrate(henon_heiles, *run, laws=[comps])
+        assert len(traj.times) == 12305
+        values = law_values(traj, comps)
+        assert [bits(v) for v in values] == [
+            bits(v) for v in reference_values(henon_heiles, comps, 0.2, traj_rows(traj))]
+        whole = reference_numpy_values(henon_heiles, comps, traj)
+        assert (np.abs(values - whole) <= np.spacing(np.abs(whole))).all()
+        kernel = integrate(henon_heiles, *run, laws=[comps], store=False)
+        plain = integrate(henon_heiles, *run)
+        assert drift(henon_heiles, comps, kernel) == drift(henon_heiles, comps, traj) \
+            == drift(henon_heiles, comps, plain)
+
+    def test_non_finite_value_names_first_time_across_blocks(self, oscillator):
+        """ln x turns non-finite many rows in; the kernel, the stored values and drift
+        over stored rows all name the first such time, and the run itself completes."""
+        x = oscillator.ctx.xs[0]
+        bad = [FirstIntegral(0, sp.log(x), "ln", 0)]
+        traj = integrate(oscillator, [1.0, 0.0], 3.0, 1e-2, laws=[bad])
+        states = np.asarray(traj.states)
+        k = int(np.argmax(states[:, 0] <= 0))
+        assert k > 7 and len(traj.times) == 301
+        first = traj.times[k]
+        values = law_values(traj, bad)
+        assert np.isfinite(values[:k]).all() and not np.isfinite(values[k])
+        kernel = integrate(oscillator, [1.0, 0.0], 3.0, 1e-2, laws=[bad], store=False)
+        plain = integrate(oscillator, [1.0, 0.0], 3.0, 1e-2)
+        for run in (kernel, traj, plain):
+            with pytest.raises(IntegrationError) as info:
+                drift(oscillator, bad, run)
+            assert str(info.value) == f"integral evaluation failed at t={first}: non-finite value"
 
     def test_constant_component_in_every_block(self, oscillator):
         x = oscillator.ctx.xs[0]
