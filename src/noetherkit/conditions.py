@@ -20,7 +20,8 @@ import sympy as sp
 from .context import Context
 from .geometry import derivative_table, lie_matrix, lie_scalar
 from .lagrangian import ApproximateGenerator, ModelError, PerturbedLagrangian
-from .normal import DEFAULT_SEED, ZeroResult, is_zero
+from .normal import DEFAULT_SEED, UnsupportedEquationError, ZeroResult, is_zero
+from .parsing import FUNCTIONS, print_expression
 
 KIND_METRIC = "metric-condition"
 KIND_GRADIENT = "boundary-gradient"
@@ -248,7 +249,8 @@ def recover_boundary_terms(
     The candidate differential df = f_t dt + f_j dx^j is checked for closure
     and integrated; additive constants are dropped.  Raises
     IncompatibleError (with the failing mixed-partial pair) when the
-    candidate is not a Noether symmetry for any f.
+    candidate is not a Noether symmetry for any f, and UnsupportedEquationError
+    when an f found cannot be printed in the grammar.
     """
     X.check_shape(L)
     ctx = L.ctx
@@ -271,7 +273,16 @@ def recover_boundary_terms(
         for x, f_xj in zip(xs, f_x):
             f += sp.integrate(f_xj - sp.diff(f, x), x)
         f += sp.integrate(f_t - sp.diff(f, t), t)
-        out.append(constant_free(sp.expand(sp.cancel(sp.together(f))), ctx))
+        f = constant_free(sp.expand(sp.cancel(sp.together(f))), ctx)
+        try:
+            print_expression(f)
+        except ValueError as exc:  # a number too long to print is left to the caller's output
+            outside = {type(a) for a in f.atoms(sp.Function, sp.Integral)} - {*FUNCTIONS.values()}
+            if outside or str(exc).startswith("cannot print"):
+                raise UnsupportedEquationError(
+                    f"the boundary term of {X.name} at order {gamma} is outside the grammar "
+                    f"({', '.join(sorted(c.__name__ for c in outside)) or exc})") from None
+        out.append(f)
     return tuple(out)
 
 

@@ -98,16 +98,8 @@ def total_integral(
     return out
 
 
-def accelerations(L: PerturbedLagrangian) -> list[sp.Expr]:
-    """xddot^i from the Euler-Lagrange equations of L0 + eps L1.
-
-    M a = -grad V - (dM/dt along the flow) v with M = g + eps h; raises
-    NumericOnly when M has no symbolic inverse.  Solved once per Lagrangian:
-    the list is kept in L's instance dict, as functools.cached_property keeps
-    a value on a frozen dataclass.
-    """
-    if "_accelerations" in vars(L):
-        return vars(L)["_accelerations"]
+def _forces(L: PerturbedLagrangian) -> sp.Matrix:
+    """-grad V - (dM/dt along the flow) v + grad(v.M.v)/2, M = g + eps h, V = V0 + eps V1."""
     ctx = L.ctx
     n = ctx.dimension
     vs = ctx.vs
@@ -123,11 +115,28 @@ def accelerations(L: PerturbedLagrangian) -> list[sp.Expr]:
                 r -= sp.diff(M[i, j], ctx.xs[k]) * vs[k] * vs[j]
                 r += sp.Rational(1, 2) * sp.diff(M[j, k], ctx.xs[i]) * vs[j] * vs[k]
         rhs[i] = r
+    return rhs
+
+
+def _inverse(m: sp.Matrix) -> sp.Matrix:
+    """m^-1; NumericOnly when m is singular (NonInvertibleMatrixError is a ValueError)."""
     try:
-        Minv = M.inv()
-    except (sp.matrices.exceptions.NonInvertibleMatrixError, ValueError) as exc:
+        return m.inv()
+    except ValueError as exc:
         raise NumericOnly(str(exc)) from exc
-    vars(L)["_accelerations"] = [sp.cancel(a) for a in Minv * rhs]
+
+
+def accelerations(L: PerturbedLagrangian) -> list[sp.Expr]:
+    """xddot^i from the Euler-Lagrange equations of L0 + eps L1.
+
+    M a = ``_forces(L)`` with M = g + eps h; raises NumericOnly when M has no symbolic
+    inverse.  Solved once per Lagrangian: the list is kept in L's instance dict, as
+    functools.cached_property keeps a value on a frozen dataclass.
+    """
+    if "_accelerations" in vars(L):
+        return vars(L)["_accelerations"]
+    Minv = _inverse(sp.Matrix(L.g.entries) + EPSILON * sp.Matrix(L.h.entries))
+    vars(L)["_accelerations"] = [sp.cancel(a) for a in Minv * _forces(L)]
     return vars(L)["_accelerations"]
 
 
@@ -146,37 +155,29 @@ def symbolic_drift(
 ) -> DriftExpansion:
     """dI/dt along the perturbed flow, expanded in the parameter.
 
-    The drift of the folded sum of the given components is truncated at the
-    highest order among them (the truncation must vanish for a valid
-    approximate law, and is zero-tested with ``seed``); the next
-    coefficient is returned as the remainder.  Components below that order
-    must all be supplied: truncating a single mixed-order component in
-    isolation is not an invariant.
+    M^-1 is taken through eps^(order+1) as the Neumann series g^-1 sum_k (-eps h g^-1)^k,
+    which inverts only g (NumericOnly when g is singular), so dI/dt is a polynomial in
+    eps.  The drift of the folded sum of the given components is truncated at the
+    highest order among them (the truncation must vanish for a valid approximate law,
+    and is zero-tested with ``seed``); the next coefficient is returned as the
+    remainder.  Components below that order must all be supplied: truncating a single
+    mixed-order component in isolation is not an invariant.
     """
     if isinstance(integrals, FirstIntegral):
         integrals = [integrals]
     order = max(I.order for I in integrals)
-    eps = EPSILON
     I = sp.Add(*(F.folded() for F in integrals))
     ctx = L.ctx
-    accel = accelerations(L)
+    g_inv = _inverse(sp.Matrix(L.g.entries))
+    step = -EPSILON * sp.Matrix(L.h.entries) * g_inv
+    neumann = sum((step**k for k in range(order + 2)), sp.zeros(ctx.dimension))
+    accel = g_inv * neumann * _forces(L)
     dI = sp.diff(I, ctx.t)
     for i in range(ctx.dimension):
         dI += sp.diff(I, ctx.xs[i]) * ctx.vs[i]
         dI += sp.diff(I, ctx.vs[i]) * accel[i]
-    dI = sp.expand(sp.cancel(sp.together(dI)))
-    try:
-        series = sp.Poly(dI, eps)
-    except sp.PolynomialError:
-        # rational in eps (x-dependent mass matrix): expand as a series
-        expanded = sp.expand(sp.series(dI, eps, 0, order + 2).removeO())
-        series = sp.Poly(expanded, eps)
-    truncation = sp.Integer(0)
-    remainder = sp.Integer(0)
-    for (k,), coeff in series.terms():
-        if k <= order:
-            truncation += eps**k * coeff
-        elif k == order + 1:
-            remainder = coeff
+    poly = sp.Poly(dI, EPSILON)
+    truncation = sp.Add(*(EPSILON**k * poly.coeff_monomial(EPSILON**k) for k in range(order + 1)))
+    remainder = poly.coeff_monomial(EPSILON ** (order + 1))
     return DriftExpansion(sp.expand(remainder), order,
                           bool(is_zero(sp.expand(truncation), seed=seed)))

@@ -181,55 +181,58 @@ def lie_derivative_metric(g: Metric, Y: SpatialVectorField) -> sp.ImmutableMatri
     return sp.ImmutableMatrix(lie).applyfunc(sp.expand)
 
 
-def check_homothetic(g: Metric, Y: SpatialVectorField) -> HomotheticResult:
-    """Test L_Y g = 2 psi g for a single rational constant psi."""
-    lie = lie_derivative_metric(g, Y)
+def _homothetic_matrix(g: Metric, fields: Sequence[Sequence[sp.Expr]]):
+    """The QQ matrix of L_Y g = 2 psi g, Y = sum_c U^(c+1) fields[c] and psi the last unknown.
+
+    The first nonzero entry of g fixes a conformal factor Omega = prod p^r, r the
+    fractional parts of its non-integer exponents (Omega = 1 for integer powers).  With
+    g = Omega h the equation is Omega (L_Y h + (sum r Y(p)/p - 2 psi) h) = 0, whose
+    entries ``_Ring`` turns into rows (UnsupportedEquationError outside its class).
+    """
+    xs = g.ctx.xs
     n = g.ctx.dimension
-    psi = None
-    anchor = next(
-        (
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if not is_zero(g.entries[i, j])
-        ),
-        None,
-    )
-    if anchor is not None:
-        i, j = anchor
-        candidate = sp.cancel(lie[i, j] / (2 * g.entries[i, j]))
-        if candidate.is_Rational:
-            psi = candidate
-    if psi is None:
-        residual = sp.ImmutableMatrix(lie)
-        return HomotheticResult(Y, None, HomotheticKind.NOT_HOMOTHETIC, residual)
-    residual = sp.Matrix(n, n, lambda i, j: sp.expand(lie[i, j] - 2 * psi * g.entries[i, j]))
-    for i in range(n):
-        for j in range(n):
-            if not is_zero(residual[i, j]):
-                return HomotheticResult(
-                    Y, None, HomotheticKind.NOT_HOMOTHETIC, sp.ImmutableMatrix(residual)
-                )
-    kind = HomotheticKind.KILLING if psi == 0 else HomotheticKind.HOMOTHETIC
-    return HomotheticResult(Y, psi, kind)
+    count = len(fields) + 1
+    # a common power pulled out of each entry's terms shows the conformal factor
+    entries = g.entries.applyfunc(sp.factor_terms)
+    first = next((e for e in entries if e != 0), sp.S.One)
+    omega = {f.base: f.exp % 1 for f in sp.Mul.make_args(first)
+             if f.is_Pow and f.exp.is_Rational and not f.exp.is_Integer}
+    h = (entries / sp.Mul(*(p**r for p, r in omega.items()))).tolist()
+    R = _Ring([*sum(h, []), *(r / p for p, r in omega.items()),
+               *(c for field in fields for c in field)], xs)
+    Y = [sum((R.U ** (c + 1) * R.lift(field[i]) for c, field in enumerate(fields)
+              if field[i] != 0), R.ring.zero) for i in range(n)]
+    h = [[R.lift(e) for e in row] for row in h]
+    lie = lie_matrix(h, Y, xs, R.d)
+    scale = sum(lie_scalar(R.lift(p), Y, xs, R.d) * R.lift(r / p)
+                for p, r in omega.items()) - 2 * R.U ** count
+    return R.matrix([lie[i][j] + scale * h[i][j] for i in range(n) for j in range(i, n)], count)
+
+
+def check_homothetic(g: Metric, Y: SpatialVectorField) -> HomotheticResult:
+    """L_Y g = 2 psi g for a rational constant psi: (1, psi) in the nullspace of
+    ``_homothetic_matrix(g, [Y])``, which raises where ``killing`` exits 3 on g."""
+    if Y.ctx.dimension != g.ctx.dimension:
+        raise GeometryError("dimension mismatch")
+    for v in rational_nullspace(_homothetic_matrix(g, [Y.components])):
+        if v[0]:
+            psi = QQ.to_sympy(v[1] / v[0])
+            kind = HomotheticKind.KILLING if psi == 0 else HomotheticKind.HOMOTHETIC
+            return HomotheticResult(Y, psi, kind)
+    return HomotheticResult(Y, None, HomotheticKind.NOT_HOMOTHETIC, lie_derivative_metric(g, Y))
 
 
 def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
     """All solutions of L_Y g = 2 psi g with polynomial Y of total degree <= degree.
 
-    The first nonzero entry of g fixes a conformal factor Omega = prod p^r, r
-    the fractional parts of its non-integer exponents (Omega = 1 for integer
-    powers).  With g = Omega h the equation is Omega (L_Y h + (sum r Y(p)/p -
-    2 psi) h) = 0, whose entries the solver's ring turns into a homogeneous
-    rational linear system in the coefficients of Y and psi; the row-reduced
-    nullspace is the answer.  Killing solutions are listed before proper
+    Y is one unknown per (component, monomial) of ``_homothetic_matrix``'s system; the
+    row-reduced nullspace is the answer.  Killing solutions are listed before proper
     homothetic ones.
     """
     if degree < 1:
         raise GeometryError("ansatz degree must be >= 1")
     ctx = g.ctx
     n = ctx.dimension
-    xs = ctx.xs
     # C(n + degree, n) monomials of total degree <= degree, counted before any is built
     count = n * math.comb(n + degree, n) + 1
     if count > MAX_UNKNOWNS:
@@ -237,38 +240,20 @@ def solve_homothetic(g: Metric, degree: int = 1) -> list[HomotheticResult]:
             f"ansatz sizing: {count} unknowns exceeds the {MAX_UNKNOWNS} limit "
             f"({n} components x C({n} + {degree}, {n}) monomials + psi)"
         )
-    # a common power pulled out of each entry's terms shows the conformal factor
-    entries = g.entries.applyfunc(sp.factor_terms)
-    for e in entries:
+    for e in g.entries:
         if e.free_symbols & set(ctx.free_param_symbols()):
             raise UnsupportedEquationError(
                 f"metric coefficient {e} holds a symbolic parameter; bind it to a number")
-    first = next((e for e in entries if e != 0), sp.S.One)
-    omega = {f.base: f.exp % 1 for f in sp.Mul.make_args(first)
-             if f.is_Pow and f.exp.is_Rational and not f.exp.is_Integer}
-    h = (entries / sp.Mul(*(p**r for p, r in omega.items()))).tolist()
-    R = _Ring([*sum(h, []), *(r / p for p, r in omega.items())], xs)
-    mons = _spatial_monomials(xs, degree)
-    # unknown c is U^(c + 1): the components' coefficients first, psi last
-    comps = [sum(R.U ** (i * len(mons) + k + 1) * R.lift(mon) for k, mon in enumerate(mons))
-             for i in range(n)]
-    h = [[R.lift(e) for e in row] for row in h]
-    lie = lie_matrix(h, comps, xs, R.d)
-    scale = sum(lie_scalar(R.lift(p), comps, xs, R.d) * R.lift(r / p)
-                for p, r in omega.items()) - 2 * R.U ** count
-    matrix = R.matrix([lie[i][j] + scale * h[i][j] for i in range(n) for j in range(i, n)], count)
+    mons = _spatial_monomials(ctx.xs, degree)
+    # unknown c is U^(c + 1): component i's coefficient of mons[k] is c = i * len(mons) + k
+    fields = [tuple(mon if j == i else sp.S.Zero for j in range(n))
+              for i in range(n) for mon in mons]
     results = []
     # the row-reduced basis is canonical, so the output is deterministic
-    for vec in rational_nullspace(matrix):
-        field = SpatialVectorField(
-            ctx,
-            tuple(
-                sp.expand(sum(vec[i * len(mons) + m] * mons[m] for m in range(len(mons))))
-                for i in range(n)
-            ),
-        )
-        psi_val = QQ.to_sympy(vec[-1])
-        kind = HomotheticKind.KILLING if psi_val == 0 else HomotheticKind.HOMOTHETIC
-        results.append(HomotheticResult(field, psi_val, kind))
+    for vec in rational_nullspace(_homothetic_matrix(g, fields)):
+        comps = (sp.expand(sum(v * Y[i] for v, Y in zip(vec, fields) if v)) for i in range(n))
+        psi = QQ.to_sympy(vec[-1])
+        kind = HomotheticKind.KILLING if psi == 0 else HomotheticKind.HOMOTHETIC
+        results.append(HomotheticResult(SpatialVectorField(ctx, tuple(comps)), psi, kind))
     results.sort(key=lambda r: 0 if r.kind is HomotheticKind.KILLING else 1)
     return results

@@ -269,6 +269,8 @@ def _print(e: sp.Expr, prec: int = 0) -> str:
         return f"({s})" if prec >= 1 else s
     if e.is_Symbol:
         return e.name
+    if e is sp.E:  # exp(1) parses to E
+        return "exp(1)"
     for name, fn in FUNCTIONS.items():
         if isinstance(e, fn):
             return f"{name}({_print(e.args[0])})"

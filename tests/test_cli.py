@@ -52,6 +52,18 @@ NOT_A_SYMMETRY = {"name": "bad", "xi": ["t", "0"], "eta": [["0"], ["0"]], "f": [
 OPEN_DIFFERENTIAL = {"name": "open", "xi": ["0", "0"], "eta": [["t*x^2"], ["0"]]}
 
 
+def boundary_probe(tmp_path, G):
+    """Zx = d/dx on V0 = -x G(t) with no f: its boundary term is the integral of G."""
+    doc = {"coordinates": ["x"], "metric": [["1"]], "V0": f"-x*{G}", "V1": "0",
+           "order": 1, "candidates": [{"name": "Zx", "xi": ["0", "0"],
+                                       "eta": [["1"], ["0"]]}],
+           "simulation": {"initial": [1.0, 0.0], "t_end": 0.5, "dt": 0.01,
+                          "epsilons": [0.1, 0.05]}}
+    problem = tmp_path / "probe.json"
+    problem.write_text(json.dumps(doc))
+    return problem
+
+
 class TestVerify:
     @pytest.mark.parametrize("fixture", ["case1.json", "case1_order2.json", "case2.json"])
     def test_fixtures_pass(self, fixture):
@@ -163,6 +175,26 @@ class TestVerify:
         code, report = run_report(tmp_path, "verify", path)
         assert code == 0
         assert report["verdicts"][0]["boundary"][0] == "x*cos(t)"
+
+    @pytest.mark.parametrize("command, G, function", [
+        ("verify", "exp(t)*ln(t)/t", "Abs, Ei, Piecewise, hyper, meijerg"),
+        ("integrals", "exp(t^2)", "erfi"),
+    ])
+    def test_boundary_outside_the_grammar_unsupported(self, tmp_path, capsys, command, G,
+                                                      function):
+        """sympy integrates exp(t) ln(t)/t to a Piecewise of hyper and meijerg terms,
+        which the sampler could not evaluate, and exp(t^2) to erfi."""
+        assert run(command, boundary_probe(tmp_path, G)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("unsupported: the boundary term of Zx at order 0 is outside the "
+                       f"grammar ({function})\n")
+
+    def test_boundary_with_exp_1_inside_the_grammar(self, tmp_path):
+        """exp(1) parses to E, and the grammar prints E back as exp(1)."""
+        code, report = run_report(tmp_path, "verify", boundary_probe(tmp_path, "exp(1)"))
+        assert code == 0
+        assert report["verdicts"][0]["boundary"][0] == "exp(1)*t"
 
 
 class TestDerive:
@@ -586,25 +618,19 @@ class TestSimulate:
         assert err.startswith("error: non-finite input")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("G, code, err", [
-        ("exp(t^2)", 3,
-         "unsupported: I[Zx] holds erfi, which simulate cannot evaluate in floats\n"),
-        ("exp(-t^2)", 0, ""),
-        ("exp(sin(t))", 3,
-         "unsupported: I[Zx] holds Integral, which simulate cannot evaluate in floats\n"),
+    @pytest.mark.parametrize("G, function", [
+        ("exp(t^2)", "erfi"),
+        ("exp(-t^2)", "erf"),
+        ("exp(sin(t))", "Integral"),
     ])
-    def test_law_outside_math(self, tmp_path, capsys, G, code, err):
-        """The boundary term of Zx is the integral of G: sqrt(pi)*erfi(t)/2, which math
-        lacks, sqrt(pi)*erf(t)/2, which it has, or an unevaluated Integral."""
-        doc = {"coordinates": ["x"], "metric": [["1"]], "V0": f"-x*{G}", "V1": "0",
-               "order": 1, "candidates": [{"name": "Zx", "xi": ["0", "0"],
-                                           "eta": [["1"], ["0"]]}],
-               "simulation": {"initial": [1.0, 0.0], "t_end": 0.5, "dt": 0.01,
-                              "epsilons": [0.1, 0.05]}}
-        problem = tmp_path / "probe.json"
-        problem.write_text(json.dumps(doc))
-        assert run("simulate", problem) == code
-        assert capsys.readouterr().err == err
+    def test_law_outside_math(self, tmp_path, capsys, G, function):
+        """The boundary term of Zx is the integral of G: sqrt(pi)*erfi(t)/2,
+        sqrt(pi)*erf(t)/2 or an unevaluated Integral, none of which the grammar prints,
+        so recovery rejects it before any law reaches the kernel."""
+        assert run("simulate", boundary_probe(tmp_path, G)) == 3
+        assert capsys.readouterr().err == (
+            "unsupported: the boundary term of Zx at order 0 is outside the grammar "
+            f"({function})\n")
 
 
 def renamed_oscillator(tmp_path, name, parameters=None):
@@ -876,6 +902,13 @@ class TestBoundedInput:
                        "too long to print\n")
         assert run("derive", problem) == 0
         assert run("verify", problem) == 0
+
+    def test_recovered_number_too_long_to_print(self, tmp_path, capsys):
+        """Recovery leaves a boundary term whose only unprintable node is a long number
+        to the output's own check: too long to print, not outside the grammar."""
+        assert run("verify", boundary_probe(tmp_path, "((2^64)^64*t+1)^64")) == 2
+        assert capsys.readouterr().err == ("error: result has a number of more than 4300 "
+                                           "digits, too long to print\n")
 
     def test_folded_power_within_bound_loads(self, tmp_path):
         problem = load_problem(fixture_probe(tmp_path, ("V1",), "((x+1)^8)^8"))

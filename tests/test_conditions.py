@@ -30,7 +30,7 @@ from noetherkit.conditions import (
     candidate_residuals,
 )
 from noetherkit.lagrangian import ModelError
-from noetherkit.normal import ZeroStatus, is_zero
+from noetherkit.normal import UnsupportedEquationError, ZeroStatus, is_zero
 from noetherkit.solver import _generator, instantiate
 
 from conftest import flat_lagrangian
@@ -416,6 +416,18 @@ class TestBoundaryRecovery:
         with pytest.raises(IncompatibleError) as err:
             recover_boundary_terms(L, bad)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("G, function", [("exp(t^2)", "erfi"), ("1/(1 + t^2)", "atan"),
+                                             ("exp(sin(t))", "Integral")])
+    def test_boundary_outside_the_grammar(self, G, function):
+        """f is the integral of G, which the grammar cannot print: unsupported, by name."""
+        ctx = Context(("x",))
+        x = ctx.xs[0]
+        L = flat_lagrangian(ctx, -x * parse(G, ctx), 0)
+        with pytest.raises(UnsupportedEquationError) as err:
+            recover_boundary_terms(L, gen("Zx", (0, 0), (1, 0)))
+        assert str(err.value) == (
+            f"the boundary term of Zx at order 0 is outside the grammar ({function})")
 
     def test_constants_stripped(self, oscillator):
         # eta = cos(t) gives f = -x*sin(t) with no floating constant

@@ -1,5 +1,6 @@
 import sympy as sp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noetherkit import (
     ApproximateGenerator,
@@ -9,11 +10,13 @@ from noetherkit import (
     symbolic_drift,
     total_integral,
 )
-from noetherkit.conservation import EPSILON, NumericOnly, accelerations
+from noetherkit.conservation import EPSILON, FirstIntegral, NumericOnly, accelerations
 from noetherkit.lagrangian import ModelError
 from noetherkit.normal import is_zero
+from noetherkit.parsing import parse
 
 from conftest import flat_lagrangian
+from test_conditions import CROSS_G, CROSS_H, CROSS_MONOMIALS, CROSS_V, cross_route_solution
 
 
 def gen(name, xi, eta, f=None):
@@ -186,22 +189,23 @@ class TestSymbolicDrift:
         assert drift.truncation_is_zero
 
     def test_kinetic_perturbation(self, monkeypatch):
-        """h = diag(1, 2) makes the accelerations rational in eps, so the drift goes
-        through the series branch.  M^-1 = diag(1/(1+eps), 1/(1+2 eps)), so for
-        J = x ydot - y xdot, dJ/dt = x y'' - y x'' = eps (x y - x^3 + 2 x y^2) + O(eps^2)."""
+        """h = diag(1, 2) makes M = g + eps h rational in eps, and the Neumann series
+        expands its inverse with neither sp.series nor the exact accelerations.
+        M^-1 = diag(1/(1+eps), 1/(1+2 eps)), so for J = x ydot - y xdot,
+        dJ/dt = x y'' - y x'' = eps (x y - x^3 + 2 x y^2) + O(eps^2)."""
+        import noetherkit.conservation as conservation
         from noetherkit import AnsatzSpec, Context, Metric, PerturbedLagrangian, solve
         ctx = Context(("x", "y"))
         t, (x, y) = ctx.t, ctx.xs
         L = PerturbedLagrangian(ctx, Metric.from_rows(ctx, [[1], [0, 1]]),
                                 Metric.from_rows(ctx, [[1], [0, 2]]),
                                 (x**2 + y**2) / 2, x**2 * y, 1)
-        series, calls = sp.series, []
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return series(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the drift left the Neumann series")
 
-        monkeypatch.setattr(sp, "series", spy)
+        monkeypatch.setattr(sp, "series", refuse)
+        monkeypatch.setattr(conservation, "accelerations", refuse)
         basis = solve(L, AnsatzSpec((sp.Integer(1), t), 1))
         assert len(basis.generators) == 3
         for X in basis.generators:
@@ -210,7 +214,6 @@ class TestSymbolicDrift:
         drift = symbolic_drift(L, total_integral(L, rotation))
         assert drift.truncation_is_zero
         assert sp.expand(drift.remainder - (-x**3 + 2 * x * y**2 + x * y)) == 0
-        assert calls
 
     def test_truncation_decided_with_callers_tol_and_seed(self, monkeypatch, henon_heiles):
         """The seed is the caller's and the tolerance is the fixed normal.TOLERANCE: a
@@ -232,3 +235,57 @@ class TestSymbolicDrift:
             symbolic_drift(henon_heiles, comps, tol=1e-7, seed=5)
         with pytest.raises(TypeError):
             symbolic_drift(henon_heiles, comps, 1e-7, 5)
+
+
+def series_drift(L, integrals):
+    """The reference drift: dI/dt by the exact M^-1 of ``accelerations``, expanded by
+    sp.series; (whether the truncation is zero, the remainder)."""
+    order = max(I.order for I in integrals)
+    I = sp.Add(*(F.folded() for F in integrals))
+    ctx = L.ctx
+    dI = sp.diff(I, ctx.t) + sp.Add(*(sp.diff(I, x) * v + sp.diff(I, v) * a
+                                      for x, v, a in zip(ctx.xs, ctx.vs, accelerations(L))))
+    expanded = sp.expand(sp.series(dI, EPSILON, 0, order + 2).removeO())
+    coeffs = [expanded.coeff(EPSILON, k) for k in range(order + 2)]
+    truncation = sp.Add(*(EPSILON**k * c for k, c in enumerate(coeffs[:-1])))
+    return bool(is_zero(truncation)), coeffs[-1]
+
+
+@given(st.sampled_from(CROSS_G), st.sampled_from(CROSS_H), st.sampled_from(CROSS_V),
+       st.sampled_from(CROSS_V), st.sampled_from((1, 2)), st.sampled_from(CROSS_MONOMIALS),
+       st.data())
+@settings(max_examples=20, deadline=None)
+def test_neumann_drift_matches_series_reference(g, h, V0, V1, order, term, data):
+    """On regular h != 0 Lagrangians, the Neumann drift gives the series reference's
+    truncation verdict and remainder: for a solver generator's law, and for the energy
+    H0 + eps H1 with a monomial times xdot added, which drifts unless the monomial and
+    the potentials let it be conserved."""
+    L, generators = cross_route_solution(g, h, V0, V1, order)
+    ctx = L.ctx
+    energy = [FirstIntegral(0, hamiltonian(L, "zeroth") + parse(term, ctx) * ctx.vs[0], "E", 0),
+              *(FirstIntegral(k, hamiltonian(L, "first") if k == 1 else sp.Integer(0), "E", k)
+                for k in range(1, order + 1))]
+    laws = [energy]
+    if generators:
+        laws.append(total_integral(L, data.draw(st.sampled_from(generators)),
+                                   assume_verified=True))
+    for law in laws:
+        drift = symbolic_drift(L, law)
+        truncation_is_zero, remainder = series_drift(L, law)
+        assert drift.truncation_is_zero == truncation_is_zero, law
+        assert is_zero(drift.remainder - remainder), law
+
+
+def test_neumann_drift_with_non_commuting_metrics():
+    """g = diag(1, 2) and h = [[x, 1], [1, 0]] do not commute, so the series must keep
+    g^-1 (-eps h g^-1)^k in that order to match the reference."""
+    from noetherkit import Context, Metric, PerturbedLagrangian
+    ctx = Context(("x", "y"))
+    (x, y), (vx, vy) = ctx.xs, ctx.vs
+    L = PerturbedLagrangian(ctx, Metric.from_rows(ctx, [[1], [0, 2]]),
+                            Metric.from_rows(ctx, [[x], [1, 0]]), (x**2 + y**2) / 2, x * y, 2)
+    law = [FirstIntegral(0, x * vy - y * vx, "J", 0), FirstIntegral(1, x * vy, "J", 1)]
+    drift = symbolic_drift(L, law)
+    truncation_is_zero, remainder = series_drift(L, law)
+    assert drift.truncation_is_zero == truncation_is_zero
+    assert remainder != 0 and is_zero(drift.remainder - remainder)

@@ -25,6 +25,7 @@ from noetherkit.dynamics import (
     DriftRecord,
     IntegrationError,
     Trajectory,
+    UnsupportedFunctionError,
     drift,
     fit_slope,
     integrate,
@@ -514,6 +515,19 @@ class TestEvaluateIntegral:
             with pytest.raises(IntegrationError) as info:
                 drift(oscillator, bad, run)
             assert str(info.value) == f"integral evaluation failed at t={first}: non-finite value"
+
+
+@pytest.mark.parametrize("law, name", [
+    (lambda t: sp.sqrt(sp.pi) * sp.erfi(t) / 2, "erfi"),
+    (lambda t: sp.Integral(sp.exp(sp.sin(t)), t), "Integral"),
+], ids=["erfi", "Integral"])
+def test_law_outside_math_unsupported(oscillator, law, name):
+    """A law the kernel's math namespace cannot evaluate is rejected by name, before
+    any step; recovery keeps such boundary terms from the command line."""
+    laws = [[FirstIntegral(0, law(oscillator.ctx.t), "Zx", 0)]]
+    with pytest.raises(UnsupportedFunctionError) as info:
+        integrate(oscillator, [1.0, 0.0], 0.5, 0.01, laws=laws)
+    assert str(info.value) == f"I[Zx] holds {name}, which simulate cannot evaluate in floats"
 
 
 class TestBlockedEvaluation:

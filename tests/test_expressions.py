@@ -124,6 +124,7 @@ class TestPrint:
         "1/2",
         "-1/(2*x^2 + 2*t^2)",
         "x^(1/2) - t^(-3/2)",
+        "exp(1)*x",
     ]
 
     @pytest.mark.parametrize("source", CASES)

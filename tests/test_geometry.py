@@ -11,6 +11,7 @@ from noetherkit import (
     SpatialVectorField,
     check_homothetic,
     lie_derivative_metric,
+    solve,
     solve_homothetic,
 )
 from noetherkit.geometry import (
@@ -143,25 +144,64 @@ def test_derivative_table_matches_diff(e, v):
     assert str(got) == str(reference)
 
 
+@pytest.fixture
+def ring_check(monkeypatch):
+    """check_homothetic with geometry.is_zero refusing every call while it runs: one
+    rule, killing's ring system, decides homothetic."""
+    def refuse(e, **kwargs):
+        raise AssertionError(f"check_homothetic zero-tested {e}")
+
+    def check(g, Y):
+        with monkeypatch.context() as patch:
+            patch.setattr(noetherkit.geometry, "is_zero", refuse)
+            return check_homothetic(g, Y)
+
+    return check
+
+
 class TestCheckHomothetic:
-    def test_killing_rotation(self, ctx2):
+    def test_killing_rotation(self, ctx2, ring_check):
         x, y = ctx2.xs
-        res = check_homothetic(euclidean(ctx2), SpatialVectorField(ctx2, (y, -x)))
+        res = ring_check(euclidean(ctx2), SpatialVectorField(ctx2, (y, -x)))
         assert res.kind is HomotheticKind.KILLING
         assert res.conformal_factor == 0
 
-    def test_homothety(self, ctx2):
+    def test_homothety(self, ctx2, ring_check):
         x, y = ctx2.xs
-        res = check_homothetic(euclidean(ctx2), SpatialVectorField(ctx2, (x, y)))
+        res = ring_check(euclidean(ctx2), SpatialVectorField(ctx2, (x, y)))
         assert res.kind is HomotheticKind.HOMOTHETIC
         assert res.conformal_factor == 1
 
-    def test_not_homothetic(self, ctx2):
+    def test_not_homothetic(self, ctx2, ring_check):
         x, y = ctx2.xs
-        res = check_homothetic(euclidean(ctx2), SpatialVectorField(ctx2, (x**2, 0)))
+        res = ring_check(euclidean(ctx2), SpatialVectorField(ctx2, (x**2, 0)))
         assert res.kind is HomotheticKind.NOT_HOMOTHETIC
         assert res.residual is not None
         assert not res.ok
+
+    def test_criterion_4_factors(self, ring_check):
+        """The spatial factors of acceptance criterion 4's solver generators, on h = 0
+        fixtures, are homothetic."""
+        from test_acceptance import _spatial_factors, problem
+        for name in ("case2_solver.json", "case5.json", "free_particle.json"):
+            p = problem(name)
+            factors = _spatial_factors(p, solve(p.L, p.ansatz))
+            assert factors
+            for Y in factors:
+                assert ring_check(p.L.g, Y).ok, Y.components
+
+    def test_dimension_mismatch(self, ctx2):
+        ctx3 = Context(("x", "y", "z"))
+        with pytest.raises(GeometryError, match="dimension mismatch"):
+            check_homothetic(euclidean(ctx2), SpatialVectorField(ctx3, ctx3.xs))
+
+    def test_non_conformal_fractional_metric_unsupported(self, ring_check):
+        """killing exits 3 on diag(sqrt(x), 1), and so does the check of a field on it."""
+        ctx = Context(("x", "y"))
+        x, _ = ctx.xs
+        g = Metric.from_rows(ctx, [[sp.sqrt(x)], [0, 1]])
+        with pytest.raises(UnsupportedEquationError, match="non-integer power"):
+            ring_check(g, SpatialVectorField(ctx, (0, 1)))
 
 
 class TestSolveHomothetic:
@@ -184,14 +224,14 @@ class TestSolveHomothetic:
         ("xy", [["x**(1/2) + x**(1/2)*y"], ["0", "x**(1/2) + x**(1/2)*y"]]),
     ], ids=["euclidean", "inverse-square-conformal", "exp", "sqrt", "sqrt-conformal",
             "sqrt-conformal-sum"])
-    def test_every_result_rechecks(self, coords, rows):
+    def test_every_result_rechecks(self, coords, rows, ring_check):
         ctx = Context(tuple(coords))
         names = dict(zip(coords, ctx.xs))
         m = Metric.from_rows(ctx, [[sp.sympify(e, locals=names) for e in row] for row in rows])
         results = solve_homothetic(m, degree=2)
         assert results
         for r in results:
-            check = check_homothetic(m, r.field)
+            check = ring_check(m, r.field)
             assert check.ok
             assert check.conformal_factor == r.conformal_factor
 

@@ -82,6 +82,14 @@ def test_no_lambdify():
     assert found == []
 
 
+def test_one_route_per_answer():
+    """symbolic_drift expands M^-1 by a Neumann series, with no series fallback or
+    together/cancel pass, and check_homothetic decides in the ring, with no cancel."""
+    assert {"series", "together"} <= names_used("import sympy as sp\nsp.series(sp.together(e))\n")
+    assert not {"series", "together"} & names_used((PACKAGE / "conservation.py").read_text())
+    assert "cancel" not in names_used((PACKAGE / "geometry.py").read_text())
+
+
 def test_no_lapack():
     """The drift fit is exact in fractions, so no run initialises LAPACK or a BLAS."""
     assert "linalg" in names_used("import numpy as np\nnp.linalg.lstsq(a, b)\n")
