@@ -7,21 +7,23 @@ xi-spatial-constancy condition of a generator given by its components.
 components and boundary terms, which is the system ``derive`` prints.
 ``verify`` and the solver call it with a concrete candidate (or the ansatz
 generator), and ``recover_boundary_terms`` reads f_x and f_t off the
-gradient and potential conditions with f = 0.
+gradient and potential conditions with f = 0 and finds f in the exact ring.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import sympy as sp
+from sympy.polys.domains import QQ
 
 from .context import Context
-from .geometry import derivative_table, lie_matrix, lie_scalar
+from .geometry import MAX_UNKNOWNS, derivative_table, lie_matrix, lie_scalar
 from .lagrangian import ApproximateGenerator, ModelError, PerturbedLagrangian
-from .normal import DEFAULT_SEED, UnsupportedEquationError, ZeroResult, is_zero
-from .parsing import FUNCTIONS, print_expression
+from .normal import (DEFAULT_SEED, UnsupportedEquationError, ZeroResult, _Ring, is_zero,
+                     normalize, polynomial_argument, rational_nullspace)
 
 KIND_METRIC = "metric-condition"
 KIND_GRADIENT = "boundary-gradient"
@@ -238,23 +240,20 @@ def verify(
 # -- boundary-term recovery ----------------------------------------------
 
 
-def recover_boundary_terms(
-    L: PerturbedLagrangian,
-    X: ApproximateGenerator,
-    *,
-    seed: int = DEFAULT_SEED,
-) -> tuple[sp.Expr, ...]:
+def recover_boundary_terms(L: PerturbedLagrangian, X: ApproximateGenerator, *,
+                           seed: int = DEFAULT_SEED) -> tuple[sp.Expr, ...]:
     """Boundary terms f_A fixed by the gradient and potential conditions.
 
-    The candidate differential df = f_t dt + f_j dx^j is checked for closure
-    and integrated; additive constants are dropped.  Raises
-    IncompatibleError (with the failing mixed-partial pair) when the
-    candidate is not a Noether symmetry for any f, and UnsupportedEquationError
-    when an f found cannot be printed in the grammar.
+    df = f_t dt + f_j dx^j is checked for closure, and f found by parallel Risch (Norman
+    and Moore, 1977; Bronstein, Symbolic Integration I, 2005): unknown 0 weighs -df and
+    unknown k >= 1 the ``_family`` function F_(k-1), each non-rational number a Dummy, so
+    a vector of one QQ nullspace in ``_Ring`` with v_0 != 0 gives f = sum v_k F_(k-1) / v_0,
+    constants dropped.  Raises IncompatibleError (with the failing mixed-partial pair)
+    when no f exists, and UnsupportedEquationError when df is outside the ring's class or
+    has no antiderivative in the family.
     """
     X.check_shape(L)
-    ctx = L.ctx
-    t, xs = ctx.t, ctx.xs
+    t, xs = L.ctx.t, L.ctx.xs
     # with f = 0 the gradient conditions are f_x and the potential condition is -f_t
     eqs = candidate_residuals(L, X.with_boundary([0] * (L.order + 1)))
     # closure of the candidate differential: d/db(f_a) = d/da(f_b) for the pairs
@@ -269,21 +268,62 @@ def recover_boundary_terms(
             mixed = sp.diff(grad[a], b) - sp.diff(grad[b], a)
             if not is_zero(mixed, seed=seed).vanishes_numerically:
                 raise IncompatibleError(f"order {gamma}: d/d{b}(f_{a}) != d/d{a}(f_{b})")
-        f = sp.Integer(0)
-        for x, f_xj in zip(xs, f_x):
-            f += sp.integrate(f_xj - sp.diff(f, x), x)
-        f += sp.integrate(f_t - sp.diff(f, t), t)
-        f = constant_free(sp.expand(sp.cancel(sp.together(f))), ctx)
+        what, names = f"the boundary term of {X.name} at order {gamma}", {}
         try:
-            print_expression(f)
-        except ValueError as exc:  # a number too long to print is left to the caller's output
-            outside = {type(a) for a in f.atoms(sp.Function, sp.Integral)} - {*FUNCTIONS.values()}
-            if outside or str(exc).startswith("cannot print"):
-                raise UnsupportedEquationError(
-                    f"the boundary term of {X.name} at order {gamma} is outside the grammar "
-                    f"({', '.join(sorted(c.__name__ for c in outside)) or exc})") from None
-        out.append(f)
+            grad = {v: normalize(_named(G, names)).to_expression() for v, G in grad.items()}
+            family = _family(grad)
+            R = _Ring([*grad.values(), *family], (t, *xs))
+            matrix = R.matrix([R.d(R.U * R.span(family), v) - R.U * R.lift(G)
+                               for v, G in grad.items()], len(family) + 1)
+        except UnsupportedEquationError as exc:
+            raise UnsupportedEquationError(f"{what}: {exc}") from None
+        vec = next((w for w in rational_nullspace(matrix) if w[0]), None)
+        if vec is None:
+            raise UnsupportedEquationError(f"{what} has no antiderivative in the ring's class")
+        f = normalize(sp.Add(*(QQ.to_sympy(c / vec[0]) * F for c, F in zip(vec[1:], family))))
+        out.append(constant_free(f.to_expression().xreplace({d: c for c, d in names.items()}),
+                                 L.ctx))
     return tuple(out)
+
+
+def _named(e: sp.Expr, names: dict) -> sp.Expr:
+    """e with each largest non-rational number replaced by the Dummy ``names`` maps it to."""
+    if e.is_number and not e.is_Rational:
+        return names.setdefault(e, sp.Dummy())
+    return e.func(*(_named(a, names) for a in e.args)) if e.args else e
+
+
+def _family(grad: dict) -> list[sp.Expr]:
+    """The candidate antiderivatives of the gradient's terms c*m, m a monomial in the
+    variables: each variant of c times m with each exponent raised by one or kept, or
+    lowered to 0 in the variables c depends on, highest first so that the row-reduced
+    nullspace keeps a fraction proper.  A variant swaps sin and cos or keeps them, keeps
+    p^-k, raises it by one or (k = 1) takes ln p, and takes ln(p)^k to ln(p)^0..k+1."""
+    variables = tuple(grad)
+    choices = []
+    for term in (a for G in grad.values() if G != 0 for a in sp.Add.make_args(G)):
+        m, options = dict.fromkeys(variables, 0), []
+        for factor in sp.Mul.make_args(term):
+            p, k = factor.as_base_exp()
+            if p in variables and k > 0:
+                m[p] = k
+            elif k.is_Integer and k < 0:
+                ln = [sp.log(p)] if k == -1 and polynomial_argument(p) else []
+                options.append([p**k, p**(k + 1), *ln])
+            elif isinstance(p, sp.log):
+                options.append([p**j for j in range(k + 2)])
+            elif isinstance(p, (sp.sin, sp.cos)):
+                options.append([sp.sin(*p.args), sp.cos(*p.args)])
+            elif not factor.is_Rational:
+                options.append([factor])
+        depends = {v for v in variables if any(o.has(v) for o in sum(options, []))}
+        choices.append([*options, *([v**j for j in range(e + 1, -1 if v in depends else e - 1, -1)]
+                                    for v, e in m.items())])
+    count = sum(sp.prod(map(len, factors)) for factors in choices)
+    if count > MAX_UNKNOWNS:
+        raise UnsupportedEquationError(f"{count} family functions exceed the {MAX_UNKNOWNS} limit")
+    return list(dict.fromkeys(sp.Mul(*c) for factors in choices
+                              for c in itertools.product(*factors)))
 
 
 def constant_free(f: sp.Expr, ctx: Context) -> sp.Expr:
@@ -296,8 +336,8 @@ def constant_free(f: sp.Expr, ctx: Context) -> sp.Expr:
 
 
 def _joined_exp(term: sp.Expr) -> sp.Expr:
-    """term with the constant factors that sympy's cancel and integrate split off an
-    exponent joined back: E*x*exp(t) is x*exp(t + 1)."""
+    """term with the constant factors split off an exponent joined back (a number put back
+    for its Dummy, or a given f, may read E*x*exp(t)): E*x*exp(t) is x*exp(t + 1)."""
     factors = sp.Mul.make_args(term)
     powers = [m.as_base_exp()[1] for m in factors if m.as_base_exp()[0] == sp.E]
     if len(powers) < 2 or not any(e.is_number for e in powers):

@@ -52,15 +52,18 @@ NOT_A_SYMMETRY = {"name": "bad", "xi": ["t", "0"], "eta": [["0"], ["0"]], "f": [
 OPEN_DIFFERENTIAL = {"name": "open", "xi": ["0", "0"], "eta": [["t*x^2"], ["0"]]}
 
 
-def boundary_probe(tmp_path, G):
+def boundary_document(G):
     """Zx = d/dx on V0 = -x G(t) with no f: its boundary term is the integral of G."""
-    doc = {"coordinates": ["x"], "metric": [["1"]], "V0": f"-x*{G}", "V1": "0",
-           "order": 1, "candidates": [{"name": "Zx", "xi": ["0", "0"],
-                                       "eta": [["1"], ["0"]]}],
-           "simulation": {"initial": [1.0, 0.0], "t_end": 0.5, "dt": 0.01,
-                          "epsilons": [0.1, 0.05]}}
+    return {"coordinates": ["x"], "metric": [["1"]], "V0": f"-x*({G})", "V1": "0",
+            "order": 1, "candidates": [{"name": "Zx", "xi": ["0", "0"],
+                                        "eta": [["1"], ["0"]]}],
+            "simulation": {"initial": [1.0, 0.0], "t_end": 0.5, "dt": 0.01,
+                           "epsilons": [0.1, 0.05]}}
+
+
+def boundary_probe(tmp_path, G):
     problem = tmp_path / "probe.json"
-    problem.write_text(json.dumps(doc))
+    problem.write_text(json.dumps(boundary_document(G)))
     return problem
 
 
@@ -176,19 +179,61 @@ class TestVerify:
         assert code == 0
         assert report["verdicts"][0]["boundary"][0] == "x*cos(t)"
 
-    @pytest.mark.parametrize("command, G, function", [
-        ("verify", "exp(t)*ln(t)/t", "Abs, Ei, Piecewise, hyper, meijerg"),
-        ("integrals", "exp(t^2)", "erfi"),
+    @pytest.mark.parametrize("command, G", [
+        pytest.param("verify", "exp(t)*ln(t)/t",
+                     id="verify-exp(t)*ln(t)/t-Abs, Ei, Piecewise, hyper, meijerg"),
+        pytest.param("integrals", "exp(t^2)", id="integrals-exp(t^2)-erfi"),
     ])
-    def test_boundary_outside_the_grammar_unsupported(self, tmp_path, capsys, command, G,
-                                                      function):
-        """sympy integrates exp(t) ln(t)/t to a Piecewise of hyper and meijerg terms,
-        which the sampler could not evaluate, and exp(t^2) to erfi."""
+    def test_boundary_outside_the_grammar_unsupported(self, tmp_path, capsys, command, G):
+        """exp(t) ln(t)/t integrates to Ei terms and exp(t^2) to erfi, outside the ring's
+        class: no family function of the ring has the gradient as its derivative."""
         assert run(command, boundary_probe(tmp_path, G)) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("unsupported: the boundary term of Zx at order 0 is outside the "
-                       f"grammar ({function})\n")
+        assert err == ("unsupported: the boundary term of Zx at order 0 has no antiderivative "
+                       "in the ring's class\n")
+
+    # the boundary each G gave when sympy's integrator found it, pinned for the ring;
+    # G = exp(1) is pinned by test_boundary_with_exp_1_inside_the_grammar
+    @pytest.mark.parametrize("G, boundary", [
+        ("t*exp(t)", "t*exp(t) - exp(t)"),
+        ("t^2*sin(3*t)", "-t^2*cos(3*t)/3 + 2*t*sin(3*t)/9 + 2*cos(3*t)/27"),
+        ("ln(t)", "t*ln(t) - t"),
+        ("ln(t)/t", "ln(t)^2/2"),
+        ("t*ln(t)^2", "t^2*ln(t)^2/2 - t^2*ln(t)/2 + t^2/4"),
+        ("1/t", "ln(t)"),
+        ("t/(t^2+1)", "ln(t^2 + 1)/2"),
+        ("t/(t^2+1)^2", "-1/(2*t^2 + 2)"),
+        ("ln(t^2+1)*t", "t^2*ln(t^2 + 1)/2 - t^2/2 + ln(t^2 + 1)/2"),
+        ("exp(1)*exp(t)", "exp(t + 1)"),
+        ("2^(1/2)*t", "2^(1/2)*t^2/2"),
+        ("sin(1)*cos(1)*t", "t^2*sin(1)*cos(1)/2"),
+        ("ln(2)*t", "t^2*ln(2)/2"),
+    ])
+    def test_boundary_found_in_the_ring(self, tmp_path, G, boundary):
+        code, report = run_report(tmp_path, "verify", boundary_probe(tmp_path, G))
+        assert code == 0
+        assert report["verdicts"][0]["boundary"] == [boundary, "0"]
+
+    def test_boundary_of_a_radical_unsupported(self, tmp_path, capsys):
+        """The ring has no radicals yet, so the integral 2*t^(3/2)/3 of t^(1/2) is not found."""
+        assert run("verify", boundary_probe(tmp_path, "t^(1/2)")) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("unsupported: the boundary term of Zx at order 0: non-integer power "
+                       "sqrt(t)\n")
+
+    def test_boundary_family_past_the_limit_unsupported(self, tmp_path, capsys):
+        """The family of t^64 ln(t)^64 sin(t)/(t+1) is counted, 2 * 3 * 66 * 66 * 2 functions
+        (sin or cos, 1/(t+1), 1 or ln(t+1), ln(t)^0..65, t^65..0, x^1 or x^0), and refused
+        before it is built."""
+        G = "t^64*ln(t)^64*sin(t)/(t+1)"
+        assert 2 * 3 * 66 * 66 * 2 > noetherkit.geometry.MAX_UNKNOWNS
+        assert run("verify", boundary_probe(tmp_path, G)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("unsupported: the boundary term of Zx at order 0: 52272 family functions "
+                       f"exceed the {noetherkit.geometry.MAX_UNKNOWNS} limit\n")
 
     def test_boundary_with_exp_1_inside_the_grammar(self, tmp_path):
         """exp(1) parses to E, and the grammar prints E back as exp(1)."""
@@ -618,19 +663,19 @@ class TestSimulate:
         assert err.startswith("error: non-finite input")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("G, function", [
-        ("exp(t^2)", "erfi"),
-        ("exp(-t^2)", "erf"),
-        ("exp(sin(t))", "Integral"),
+    @pytest.mark.parametrize("G, reason", [
+        pytest.param("exp(t^2)", " has no antiderivative in the ring's class", id="exp(t^2)-erfi"),
+        pytest.param("exp(-t^2)", " has no antiderivative in the ring's class", id="exp(-t^2)-erf"),
+        pytest.param("exp(sin(t))", ": non-polynomial argument in exp(sin(t))",
+                     id="exp(sin(t))-Integral"),
     ])
-    def test_law_outside_math(self, tmp_path, capsys, G, function):
+    def test_law_outside_math(self, tmp_path, capsys, G, reason):
         """The boundary term of Zx is the integral of G: sqrt(pi)*erfi(t)/2,
-        sqrt(pi)*erf(t)/2 or an unevaluated Integral, none of which the grammar prints,
-        so recovery rejects it before any law reaches the kernel."""
+        sqrt(pi)*erf(t)/2 or no closed form, none of which the ring holds, so recovery
+        rejects it before any law reaches the kernel."""
         assert run("simulate", boundary_probe(tmp_path, G)) == 3
         assert capsys.readouterr().err == (
-            "unsupported: the boundary term of Zx at order 0 is outside the grammar "
-            f"({function})\n")
+            f"unsupported: the boundary term of Zx at order 0{reason}\n")
 
 
 def renamed_oscillator(tmp_path, name, parameters=None):
@@ -970,6 +1015,14 @@ EXPRESSION_MUTATIONS = ["1/0", "ln(0)", "x^65", "(x+1)^64*(x+1)^64", "zeta",
 PARAMETER_VALUES = [0, -1, 1e300, 1e-300, 0.1, "symbolic"]
 
 
+def recovery_document(data, expressions):
+    """Zx without f on V0 = -x G(t), G a hostile expression with t for x, or t times one:
+    recovery integrates G."""
+    mutation = data.draw(st.sampled_from(expressions))
+    return boundary_document(data.draw(st.sampled_from([mutation.replace("x", "t"),
+                                                         f"t*({mutation})"])))
+
+
 def expression_fields(doc):
     """(position, text) of every expression string of a problem document."""
     for path in field_paths(doc):
@@ -984,14 +1037,18 @@ def expression_fields(doc):
 @given(st.data())
 @settings(max_examples=40, deadline=20_000)
 def test_mutated_expression_never_raises(data):
-    """One expression of a shipped fixture replaced by, or added to, a hostile one,
-    with a parameter k bound to a hostile value or left symbolic."""
+    """One expression of a shipped fixture replaced by, or added to, a hostile one, or
+    a candidate without f on a hostile t-dependent potential, with a parameter k bound
+    to a hostile value or left symbolic."""
     fixture = data.draw(st.sampled_from(["oscillator.json", "case1.json", "case3.json",
-                                         "case4.json"]))
-    doc = json.loads(fixture_path(fixture).read_text())
-    path, source = data.draw(st.sampled_from(list(expression_fields(doc))))
-    mutation = data.draw(st.sampled_from(EXPRESSION_MUTATIONS))
-    set_field(doc, path, data.draw(st.sampled_from([mutation, f"({source}) + {mutation}"])))
+                                         "case4.json", "recovery"]))
+    if fixture == "recovery":
+        doc = recovery_document(data, EXPRESSION_MUTATIONS)
+    else:
+        doc = json.loads(fixture_path(fixture).read_text())
+        path, source = data.draw(st.sampled_from(list(expression_fields(doc))))
+        mutation = data.draw(st.sampled_from(EXPRESSION_MUTATIONS))
+        set_field(doc, path, data.draw(st.sampled_from([mutation, f"({source}) + {mutation}"])))
     doc["parameters"] = {**doc.get("parameters", {}),
                          "k": data.draw(st.sampled_from(PARAMETER_VALUES))}
     command = data.draw(st.sampled_from(["derive", "verify", "integrals", "killing"]))
@@ -1107,18 +1164,23 @@ SIMULATION_EXPRESSIONS = EXPRESSION_MUTATIONS + ["(-1-x^2)^(1/2)", "x^(4/3)"]
 @settings(max_examples=30, deadline=30_000)
 def test_mutated_simulation_never_raises(data):
     """simulate on a shipped fixture cut to 200 RK4 steps, with one hostile expression or
-    simulation entry, and a parameter k bound to a hostile value or left symbolic."""
-    fixture = data.draw(st.sampled_from(["oscillator.json", "case4.json"]))
-    doc = json.loads(fixture_path(fixture).read_text())
-    sim = doc["simulation"]
-    sim["t_end"] = sim["t_start"] + 200 * sim["dt"]
-    if data.draw(st.booleans()):
-        path, source = data.draw(st.sampled_from(list(expression_fields(doc))))
-        mutation = data.draw(st.sampled_from(SIMULATION_EXPRESSIONS))
-        set_field(doc, path, data.draw(st.sampled_from([mutation, f"({source}) + {mutation}"])))
+    simulation entry, or on a candidate without f on a hostile t-dependent potential,
+    and a parameter k bound to a hostile value or left symbolic."""
+    fixture = data.draw(st.sampled_from(["oscillator.json", "case4.json", "recovery"]))
+    if fixture == "recovery":
+        doc = recovery_document(data, SIMULATION_EXPRESSIONS)
     else:
-        key, value = data.draw(st.sampled_from(SIMULATION_MUTATIONS))
-        sim[key] = value
+        doc = json.loads(fixture_path(fixture).read_text())
+        sim = doc["simulation"]
+        sim["t_end"] = sim["t_start"] + 200 * sim["dt"]
+        if data.draw(st.booleans()):
+            path, source = data.draw(st.sampled_from(list(expression_fields(doc))))
+            mutation = data.draw(st.sampled_from(SIMULATION_EXPRESSIONS))
+            set_field(doc, path,
+                      data.draw(st.sampled_from([mutation, f"({source}) + {mutation}"])))
+        else:
+            key, value = data.draw(st.sampled_from(SIMULATION_MUTATIONS))
+            sim[key] = value
     doc["parameters"] = {**doc.get("parameters", {}),
                          "k": data.draw(st.sampled_from(PARAMETER_VALUES))}
     with tempfile.TemporaryDirectory() as tmp:

@@ -417,17 +417,44 @@ class TestBoundaryRecovery:
             recover_boundary_terms(L, bad)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("G, function", [("exp(t^2)", "erfi"), ("1/(1 + t^2)", "atan"),
-                                             ("exp(sin(t))", "Integral")])
-    def test_boundary_outside_the_grammar(self, G, function):
-        """f is the integral of G, which the grammar cannot print: unsupported, by name."""
+    @pytest.mark.parametrize("G, reason", [
+        pytest.param("exp(t^2)", " has no antiderivative in the ring's class", id="exp(t^2)-erfi"),
+        pytest.param("1/(1 + t^2)", " has no antiderivative in the ring's class",
+                     id="1/(1 + t^2)-atan"),
+        pytest.param("exp(sin(t))", ": non-polynomial argument in exp(sin(t))",
+                     id="exp(sin(t))-Integral"),
+    ])
+    def test_boundary_outside_the_grammar(self, G, reason):
+        """f is the integral of G, erfi, atan or no closed form, which the ring does not
+        hold: unsupported, with the reason."""
         ctx = Context(("x",))
         x = ctx.xs[0]
         L = flat_lagrangian(ctx, -x * parse(G, ctx), 0)
         with pytest.raises(UnsupportedEquationError) as err:
             recover_boundary_terms(L, gen("Zx", (0, 0), (1, 0)))
-        assert str(err.value) == (
-            f"the boundary term of Zx at order 0 is outside the grammar ({function})")
+        assert str(err.value) == f"the boundary term of Zx at order 0{reason}"
+
+    def test_high_power_boundary(self):
+        """t^30 exp(3t) sin(t) has a 62-term integral in a family of 2 * 32 * 2 = 128 functions."""
+        ctx = Context(("x",))
+        t, x = ctx.t, ctx.xs[0]
+        G = t**30 * sp.exp(3 * t) * sp.sin(t)
+        f = recover_boundary_terms(flat_lagrangian(ctx, -x * G, 0), gen("Zx", (0, 0), (1, 0)))
+        assert f[1] == 0
+        assert sp.expand(sp.diff(f[0], t) - G) == 0
+
+    @pytest.mark.parametrize("fixture", sorted(
+        path.name for path in fixture_path("oscillator.json").parent.glob("*.json")))
+    def test_shipped_boundaries_recovered(self, fixture):
+        """Each shipped candidate's f, dropped, is recovered up to a constant."""
+        problem = load_problem(fixture_path(fixture))
+        ctx = problem.ctx
+        for X in problem.candidates:
+            if X.boundary is None:
+                continue
+            found = recover_boundary_terms(problem.L, ApproximateGenerator(X.name, X.orders))
+            for given, f in zip(X.boundary, found):
+                assert all(is_zero(sp.diff(f - given, v)) for v in (ctx.t, *ctx.xs)), X.name
 
     def test_constants_stripped(self, oscillator):
         # eta = cos(t) gives f = -x*sin(t) with no floating constant

@@ -82,12 +82,34 @@ def test_no_lambdify():
     assert found == []
 
 
+def sympy_names(source: str) -> set[str]:
+    """The names a module takes from sympy: attributes of ``sp`` or ``sympy``, and names
+    imported from a sympy module."""
+    tree = ast.parse(source)
+    return ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in {"sp", "sympy"}}
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "sympy" for alias in node.names})
+
+
 def test_one_route_per_answer():
     """symbolic_drift expands M^-1 by a Neumann series, with no series fallback or
-    together/cancel pass, and check_homothetic decides in the ring, with no cancel."""
+    together/cancel pass, check_homothetic decides in the ring, with no cancel, and
+    recover_boundary_terms finds f in the ring, with no sympy integrator, no
+    cancel/together pass and no printability gate from the parser."""
     assert {"series", "together"} <= names_used("import sympy as sp\nsp.series(sp.together(e))\n")
     assert not {"series", "together"} & names_used((PACKAGE / "conservation.py").read_text())
     assert "cancel" not in names_used((PACKAGE / "geometry.py").read_text())
+    assert {"integrate"} == sympy_names("import sympy as sp\nsp.integrate(e, t)\n") \
+        == sympy_names("from sympy import integrate\n")
+    # the RK4 integrator dynamics.integrate is the package's own name, not sympy's
+    assert "integrate" not in sympy_names("from .dynamics import integrate\nintegrate(L)\n")
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "integrate" in sympy_names(path.read_text())]
+    assert found == []
+    conditions = (PACKAGE / "conditions.py").read_text()
+    assert not {"cancel", "together"} & names_used(conditions)
+    assert "parsing" not in imported_modules(conditions)
 
 
 def test_no_lapack():
